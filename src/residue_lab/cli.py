@@ -2,10 +2,13 @@
 
 Subcommands: word, count, verify, satotate, cm, quartic-tables.
 Exit codes: 0 all passed, 1 some verification failed, 2 usage or domain
-error.  Verification streams are JSONL (default) or CSV with fixed key
-order; records are emitted in ascending p regardless of --jobs, and
-nothing time-dependent is written to stdout, so outputs are byte-identical
-across runs.  The run manifest goes to stderr.
+error, 3 internal invariant violated (an ArithmeticError from a
+consistency check such as the Hasse bound or a divisibility test: a
+defect in the library, not a failing claim).  Verification streams are
+JSONL (default) or CSV with fixed key order; records are emitted in
+ascending p regardless of --jobs, and nothing time-dependent is written
+to stdout, so outputs are byte-identical across runs.  The run manifest
+goes to stderr.
 """
 
 import argparse
@@ -152,7 +155,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"empty range [{args.min_p}, {args.max_p}]")
     primes = eligible_primes(claim, args.min_p, args.max_p, _FILTERS[args.filter])
     manifest = RunManifest(
-        command=" ".join(sys.argv[1:]) or args.claim,
+        command=" ".join(args.argv),
         claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=jobs,
         started=datetime.now(timezone.utc).isoformat())
     tasks = [(args.claim, p, args.oracle) for p in primes]
@@ -228,12 +231,17 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return _DISPATCH[args.command](args)
     except (ResidueLabError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

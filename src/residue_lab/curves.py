@@ -305,13 +305,5 @@ def fiber_pattern_counts(ctx: FieldContext) -> dict[str, int]:
     }
 
 
-# Bucket names in the order matching quartic variants 1..4.
-FIBER_BUCKET_ORDER = ("RR", "RN", "NR", "NN")
-
-
-def hasse_ok(p: int, trace: int) -> bool:
-    return trace * trace < 4 * p
-
-
 def normalized_trace(p: int, trace: int) -> float:
     return trace / (2.0 * math.sqrt(p))

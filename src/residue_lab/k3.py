@@ -6,8 +6,29 @@ Surface S:  y12^2 + y23^2 = y13^2,  y23^2 + y34^2 = y24^2,
             y12^2 + y23^2 + y34^2 = 1  in 5-space.
 Chart X':   y1^2 = (t^2 x1^4 + 1)(t^2 + 1), with #X = #X' + p.
 
-All kernels iterate the two free coordinates and resolve the rest through
-the root-count table, so each count is O(p^2) array work.
+Every kernel is the brute-force sum over two free coordinates, with the
+remaining coordinates resolved through the root-count table, regrouped
+without changing its value:
+
+- Square classes.  Each integrand sees its free coordinates only through
+  x^2, y^2 (M and S) or t^2, x1^4 (X'), so the sum runs over the distinct
+  values of `ctx.squares` (or of `squares[squares]`), each weighted by its
+  multiplicity.  M is also symmetric in x and y, so only the upper
+  triangle of its class grid is scanned, and S skips the rows whose
+  outer root count is 0.  That leaves about p^2/8 cells per kernel
+  (p^2/4 for X' when p = 3 mod 4, where x1^4 takes (p+1)/2 values).
+- Fixed tiles.  Rows of the class grid are processed in blocks of about
+  _TILE_CELLS cells, each reduced with a matrix-vector product against the
+  column weights.  Every block is computed in place in the same few
+  buffers, allocated once per scan, so no temporary exceeds one block and
+  the scan does not churn the heap from block to block.
+- One fused M scan.  `_m_scan` returns M together with the tally of
+  z = 0 points, which the locus count of the bookkeeping claim reads
+  instead of scanning again.
+
+The kernels read only `ctx.squares` and `ctx.root_counts` (never chi, J or
+a curve trace), so an `--oracle` context drives them down an independent
+path.
 """
 
 import numpy as np
@@ -18,18 +39,98 @@ from .patterns import jacobsthal
 from .records import VerificationRecord
 from . import curves
 
+# Cells of the class grid reduced per block; bounds every temporary.
+_TILE_CELLS = 1 << 14
+
+# Largest p whose unreduced cell value (a*b + 1)(a + b) < 2p^3 fits in int64;
+# above it the first factor is reduced mod p before the product.
+_ONE_REDUCTION_MAX_P = 1_600_000
+
+
+def _classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and how often each occurs."""
+    counts = np.bincount(values)
+    distinct = np.flatnonzero(counts)
+    return distinct, counts[distinct]
+
+
+def _zero_flagged(root_counts: np.ndarray, base: int) -> np.ndarray:
+    """root_counts with `base` added at 0.  A weighted sum s of its entries
+    splits as divmod(s, base) = (weighted zero tally, weighted root-count
+    sum) whenever the root-count sum stays below `base`."""
+    table = root_counts.astype(np.int64)
+    table[0] += base
+    return table
+
+
+def _product_cell(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int,
+                  out: np.ndarray) -> np.ndarray:
+    """(a*b + 1) * c mod p into out, for a column a, a row b and c < 2p."""
+    np.multiply(a, b, out=out)
+    out += 1
+    if p > _ONE_REDUCTION_MAX_P:
+        out %= p
+    out *= c
+    out %= p
+    return out
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """table[index] into out.  Every index is already reduced mod p, so
+    "clip" never acts; unlike the default mode it needs no temporary."""
+    return np.take(table, index, out=out, mode="clip")
+
+
+def _row_sums(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+              table: np.ndarray, cell) -> np.ndarray:
+    """sums[i] = sum_j weights[j] * table[cell(rows[i], cols[j])], in
+    blocks of about _TILE_CELLS cells; cell(a, b, out=...) gets a column of
+    rows and the row of cols and writes the block's table indices."""
+    step = max(1, _TILE_CELLS // len(cols))
+    index_buf = np.empty((min(step, len(rows)), len(cols)), dtype=np.int64)
+    value_buf = np.empty_like(index_buf)
+    sums = np.empty(len(rows), dtype=np.int64)
+    for i in range(0, len(rows), step):
+        a = rows[i:i + step, None]
+        index = cell(a, cols, out=index_buf[:len(a)])
+        values = _gather(table, index, value_buf[:len(a)])
+        np.matmul(values, weights, out=sums[i:i + step])
+    return sums
+
+
+def _m_scan(ctx: FieldContext) -> tuple[int, int]:
+    """(M, number of (x, y) with (x^2 y^2 + 1)(x^2 + y^2) = 0) in one pass."""
+    p = ctx.p
+    u, w = _classes(ctx.squares)
+    n = len(u)
+    # a row's weighted root-count sum is at most 2 * 2p (doubled columns)
+    base = 4 * p + 1
+    table = _zero_flagged(ctx.root_counts, base)
+    # no block has more than max(_TILE_CELLS, n) cells, nor more than n^2
+    size = min(n * n, max(_TILE_CELLS, n))
+    sum_buf, index_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    sums = np.empty(n, dtype=np.int64)
+    i = 0
+    while i < n:
+        j = min(n, i + max(1, _TILE_CELLS // (n - i)))
+        a = u[i:j, None]
+        b = u[i:]
+        shape = (j - i, n - i)
+        cells = shape[0] * shape[1]
+        c = np.add(a, b, out=sum_buf[:cells].reshape(shape))
+        index = _product_cell(a, b, c, p, index_buf[:cells].reshape(shape))
+        vals = _gather(table, index, c)  # c is spent; its buffer takes the values
+        # (u, v) and (v, u) give the same cell: columns past the block
+        # stand for both orders, the block's own square for itself
+        sums[i:j] = vals[:, :j - i] @ w[i:j] + 2 * (vals[:, j - i:] @ w[j:])
+        i = j
+    zeros, roots = np.divmod(sums, base)
+    return int(roots @ w), int(zeros @ w)
+
 
 def count_Mp(ctx: FieldContext) -> int:
     """Number of solutions of z^2 = (x^2 y^2 + 1)(x^2 + y^2)."""
-    p = ctx.p
-    sq = ctx.squares
-    rc = ctx.root_counts
-    total = 0
-    for x in range(p):
-        x2 = int(sq[x])
-        idx = (x2 * sq + 1) % p * ((x2 + sq) % p) % p
-        total += int(rc[idx].sum())
-    return total
+    return _m_scan(ctx)[0]
 
 
 def count_Np(ctx: FieldContext) -> int:
@@ -52,20 +153,20 @@ def count_S(ctx: FieldContext) -> int:
     For fixed (y12, y23) the last equation forces y34^2 = 1 - y12^2 - y23^2,
     and every root leads to y23^2 + y34^2 = 1 - y12^2, so the two remaining
     coordinates contribute root-count factors independent of the root chosen.
+
+    Both factors depend on y12^2 + y23^2 = s alone: y34 has rc[1 - s]
+    choices and y13 has rc[s].  Rows are the classes u of y12^2 with a
+    choice of y24 (rc[1 - u] != 0), columns the classes v of y23^2.
     """
     p = ctx.p
-    sq = ctx.squares
     rc = ctx.root_counts
-    total = 0
-    for y12 in range(p):
-        u2 = int(sq[y12])
-        outer = int(rc[(1 - u2) % p])  # choices of y24
-        if outer == 0:
-            continue
-        roots34 = rc[(1 - u2 - sq) % p]        # choices of y34 per y23
-        pairs13 = rc[(u2 + sq) % p]            # choices of y13 per y23
-        total += outer * int((roots34 * pairs13).sum())
-    return total
+    u, w = _classes(ctx.squares)
+    s = np.arange(2 * p)  # u + v < 2p, so no reduction is needed
+    per_sum = rc[(1 - s) % p] * rc[s % p]
+    outer = rc[(1 - u) % p]  # choices of y24
+    keep = outer != 0
+    sums = _row_sums(u[keep], u, w, per_sum, np.add)
+    return int(sums @ (w[keep] * outer[keep]))
 
 
 def verify_formula2(ctx: FieldContext) -> VerificationRecord:
@@ -78,19 +179,16 @@ def verify_formula2(ctx: FieldContext) -> VerificationRecord:
     return VerificationRecord(p, "formula2", expected, s, expected == s)
 
 
-def _locus_X_count(ctx: FieldContext) -> int:
-    """Points of X with y = 0 or z = 0, by direct count."""
-    p = ctx.p
-    sq = ctx.squares
-    rc = ctx.root_counts
-    on_y0 = int(rc[sq].sum())  # z^2 = x^2
-    z0 = 0
-    for x in range(p):
-        x2 = int(sq[x])
-        vals = (x2 * sq + 1) % p * ((x2 + sq) % p) % p
-        z0 += int((vals == 0).sum())
+def _locus_X(ctx: FieldContext, z0: int) -> int:
+    """Points of X with y = 0 or z = 0, given the z = 0 tally of `_m_scan`."""
+    on_y0 = int(ctx.root_counts[ctx.squares].sum())  # z^2 = x^2
     overlap = 1  # y = z = 0 forces x = 0
     return on_y0 + z0 - overlap
+
+
+def _locus_X_count(ctx: FieldContext) -> int:
+    """Points of X with y = 0 or z = 0, by direct count."""
+    return _locus_X(ctx, _m_scan(ctx)[1])
 
 
 def _locus_S_count(ctx: FieldContext) -> int:
@@ -109,8 +207,7 @@ def _locus_S_count(ctx: FieldContext) -> int:
     return l1 + l2 - overlap
 
 
-def verify_lemma_bookkeeping(ctx: FieldContext, m_count: int | None = None,
-                             s_count: int | None = None) -> VerificationRecord:
+def verify_lemma_bookkeeping(ctx: FieldContext) -> VerificationRecord:
     """Check the transfer identity M - #S = 4p - 3.
 
     The individual divisor loci are also counted directly and reported in
@@ -121,11 +218,11 @@ def verify_lemma_bookkeeping(ctx: FieldContext, m_count: int | None = None,
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
     p = ctx.p
-    m = count_Mp(ctx) if m_count is None else m_count
-    s = count_S(ctx) if s_count is None else s_count
+    m, z0 = _m_scan(ctx)
+    s = count_S(ctx)
     expected = 4 * p - 3
     detail = {
-        "locus_X_measured": _locus_X_count(ctx),
+        "locus_X_measured": _locus_X(ctx, z0),
         "locus_X_stated": 6 * p - 4,
         "locus_S_measured": _locus_S_count(ctx),
         "locus_S_stated": 2 * p - 1,
@@ -140,19 +237,21 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     p = ctx.p
     sq = ctx.squares
     rc = ctx.root_counts
-    x4 = sq[sq]  # x1^4 mod p
-    total = 0
-    fibers = np.zeros(p, dtype=np.int64)
-    for t in range(p):
-        t2 = int(sq[t])
-        w = (t2 + 1) % p
-        idx = (t2 * x4 + 1) % p * w % p
-        row = rc[idx]
-        total += int(row.sum())
-        if t != 0:
-            inner = row[1:]
-            # y1 = 0 happens exactly where the right side vanishes
-            fibers[t] = int(inner.sum()) - int((idx[1:] == 0).sum())
+    t2, t_weight = _classes(sq)
+    q, q_weight = _classes(sq[sq])  # classes of x1^4; x1 = 0 alone gives 0
+    # a row's weighted root-count sum over x1 != 0 is at most 2(p - 1)
+    base = 2 * p + 1
+    table = _zero_flagged(rc, base)
+    sums = _row_sums(t2, q[1:], q_weight[1:], table,
+                     lambda a, b, out: _product_cell(a, b, a + 1, p, out))
+    zeros, roots = np.divmod(sums, base)
+    # y1 = 0 happens exactly where the right side vanishes
+    per_class = np.zeros(p, dtype=np.int64)
+    per_class[t2] = roots - zeros
+    fibers = per_class[sq]
+    fibers[0] = 0
+    # the x1 = 0 column: the right side is t^2 + 1
+    total = int((roots + q_weight[0] * rc[(t2 + 1) % p]) @ t_weight)
     boundary = total - int(fibers.sum())
     return total, boundary, fibers
 
@@ -163,7 +262,7 @@ def count_Xprime(ctx: FieldContext) -> tuple[int, int]:
     return total, boundary
 
 
-def verify_fibration(ctx: FieldContext, m_count: int | None = None) -> VerificationRecord:
+def verify_fibration(ctx: FieldContext) -> VerificationRecord:
     """All chart-level identities at one prime p = 1 mod 4:
 
     - #X = #X' + p,
@@ -178,7 +277,7 @@ def verify_fibration(ctx: FieldContext, m_count: int | None = None) -> Verificat
     p = ctx.p
     total, boundary, fibers = _xprime_scan(ctx)
     interior = total - boundary
-    m = count_Mp(ctx) if m_count is None else m_count
+    m = count_Mp(ctx)
     rows = curves.quartic_rows(ctx)
     circ = [curves.quartic_interior_count(r) for r in rows]
     quarter_sum = sum(c * c for c in circ)

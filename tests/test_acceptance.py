@@ -38,14 +38,12 @@ def k3_data():
     data = {}
     for p in rl.primes_in(3, 1999):
         ctx = rl.build_context(p)
-        m = k3.count_Mp(ctx)
-        entry = {"M": m, "N": k3.count_Np(ctx)}
+        entry = {"M": k3.count_Mp(ctx), "N": k3.count_Np(ctx)}
         if p % 4 == 1:
-            s = k3.count_S(ctx)
-            entry["S"] = s
+            entry["S"] = k3.count_S(ctx)
             entry["J"] = rl.jacobsthal(ctx)
-            entry["fibration"] = k3.verify_fibration(ctx, m_count=m)
-            entry["bookkeeping"] = k3.verify_lemma_bookkeeping(ctx, m_count=m, s_count=s)
+            entry["fibration"] = k3.verify_fibration(ctx)
+            entry["bookkeeping"] = k3.verify_lemma_bookkeeping(ctx)
         data[p] = entry
     return data
 

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from residue_lab import cli, k3
+
 CLI = [sys.executable, "-m", "residue_lab.cli"]
 
 
@@ -141,6 +145,26 @@ def test_verify_out_file(tmp_path):
 def test_verify_oracle_flag():
     res = run_cli("verify", "formula2", "--max-p", "100", "--oracle")
     assert res.returncode == 0
+
+
+def test_verify_manifest_records_main_argv(capsys):
+    argv = ["verify", "identity5", "--max-p", "7", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    manifest = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert manifest["command"] == " ".join(argv)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_invariant_violation_exits_3(monkeypatch, capsys, jobs):
+    def broken(ctx):
+        raise ArithmeticError(f"Hasse bound violated at p={ctx.p}")
+
+    monkeypatch.setattr(k3, "count_S", broken)
+    code = cli.main(["verify", "formula2", "--max-p", "30", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: Hasse bound violated at p=" in err
+    assert "Traceback" not in err
 
 
 def test_verify_unknown_claim_exits_2():

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brute
+from residue_lab import k3
 from residue_lab import (
     WrongResidueClass,
     build_context,
@@ -86,6 +90,48 @@ def test_bookkeeping_net_identity():
         rec = verify_lemma_bookkeeping(build_context(p))
         assert rec.passed, p
         assert rec.actual == 4 * p - 3, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(primes_in(3, 40)), oracle=st.booleans())
+def test_kernels_match_brute_at_random_primes(p, oracle):
+    ctx = build_context(p, counting_oracle=oracle)
+    assert count_Mp(ctx) == brute.count_Mp(p)
+    assert count_Xprime(ctx) == brute.xprime_counts(p)
+    if p <= 23:
+        assert count_S(ctx) == brute.count_S_rootloop(p)
+
+
+def _kernel_values(p):
+    ctx = build_context(p)
+    total, boundary, fibers = k3._xprime_scan(ctx)
+    return (count_Mp(ctx), count_S(ctx), k3._locus_X_count(ctx),
+            total, boundary, fibers.tolist())
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_TILE_CELLS", 7),            # mostly one row per block
+    ("_TILE_CELLS", 37),           # several rows per block, the last short
+    ("_ONE_REDUCTION_MAX_P", 2),   # reduce the first factor before the product
+])
+def test_kernels_independent_of_tiling_and_reduction(monkeypatch, name, value):
+    primes = (5, 7, 19, 23, 41, 43, 101, 103)  # both classes mod 4
+    want = {p: _kernel_values(p) for p in primes}
+    monkeypatch.setattr(k3, name, value)
+    for p in primes:
+        assert _kernel_values(p) == want[p], p
+
+
+def test_kernel_memory_bounded():
+    ctx = build_context(10009)
+    for kernel in (count_Mp, count_S, k3._xprime_scan):
+        tracemalloc.start()
+        try:
+            kernel(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (kernel.__name__, peak)
 
 
 def test_count_Xprime_frozen():
