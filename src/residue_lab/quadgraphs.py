@@ -2,16 +2,26 @@
 
 Four pairwise distinct residues mod p (p = 4k + 1, so the edge relation is
 symmetric) span a graph: i and j are joined when a_i - a_j is a nonzero
-square.  Quadruples are counted up to permutation and translation, which is
-implemented by enumerating 4-subsets containing 0 and dividing tallies by 4.
-The degree multiset is a complete isomorphism invariant on 4 vertices, so
+square.  Quadruples are counted up to permutation and translation.  The
+degree multiset is a complete isomorphism invariant on 4 vertices, so
 classification is a table lookup.
+
+`count_graph_classes` is the brute-force count over every quadruple
+{0, a, b, c}, regrouped without changing its value (its docstring gives
+the weights): scaling by a nonzero square fixes 0 and preserves every
+edge, so only a = 1 and a non-residue a = delta are scanned, each over
+all pairs (b, c) in row tiles of about _TILE_CELLS cells.  It reads the
+residue indicator and the non-residue from `ctx.root_counts`, never chi,
+J or a curve trace, so an `--oracle` context drives it down an
+independent path and `goncharova_K4` stays an independent check of its
+K4 count.
 """
 
 from enum import Enum
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateResidues, NotIntegral, WrongResidueClass
 from .modarith import FieldContext
@@ -57,6 +67,13 @@ _KEY_TO_CLASS = {key: cls for cls, key in DEGREE_KEY.items()}
 # in one small integer (each degree count is at most 4 < 5).
 _CODE_TO_CLASS = {sum(5 ** d for d in key): cls for cls, key in DEGREE_KEY.items()}
 
+# Cells of the (b, c) grid classified per block; bounds every temporary.
+_TILE_CELLS = 1 << 14
+
+# Added to the key of a cell outside the grid (b or c in {0, a}, or b = c);
+# every valid edge key is below it.
+_OFF_GRID = 32
+
 
 def classify_quadruple(ctx: FieldContext, quad) -> GraphClass:
     """Isomorphism class of the difference graph of four distinct residues."""
@@ -73,50 +90,69 @@ def classify_quadruple(ctx: FieldContext, quad) -> GraphClass:
     return _KEY_TO_CLASS[tuple(sorted(deg))]
 
 
+def _edge_key_class(e: int, key: int) -> GraphClass:
+    """Class of {0, a, b, c} from its edge 0-a (e) and its other five edges,
+    packed as key = [0-c] + 2[a-c] + 4[0-b] + 8[a-b] + 16[b-c]."""
+    c0, ca, b0, ba, bc = (key >> bit & 1 for bit in range(5))
+    deg = (e + b0 + c0, e + ba + ca, b0 + ba + bc, c0 + ca + bc)
+    return _CODE_TO_CLASS[sum(5 ** d for d in deg)]
+
+
+def _pair_tally(is_r: np.ndarray, a: int) -> np.ndarray:
+    """hist[key] = number of ordered pairs (b, c), b != c, both outside
+    {0, a}, whose quadruple {0, a, b, c} has edge key `key`."""
+    p = len(is_r)
+    # edges 0-x and a-x; x = 0 and x = a are off the grid
+    col = is_r + 2 * np.roll(is_r, a)
+    col[[0, a]] = _OFF_GRID
+    # row i of the window holds the edge b-c for b = p - i and c = 0 .. p-1:
+    # bc[(c - b) % p] is entry i + c of bc doubled; c = b is off the grid
+    bc = 16 * is_r
+    bc[0] = _OFF_GRID
+    window = sliding_window_view(np.concatenate((bc, bc)), p)[1:p]
+    row = 4 * col[:0:-1]  # b = p - 1 .. 1, the window's row order
+    step = max(1, _TILE_CELLS // p)
+    buf = np.empty((min(step, p - 1), p), dtype=np.intp)
+    hist = np.zeros(_OFF_GRID, dtype=np.int64)
+    for i in range(0, p - 1, step):
+        rows = row[i:i + step, None]
+        keys = np.add(rows, col, out=buf[:len(rows)])
+        keys += window[i:i + step]
+        hist += np.bincount(keys.ravel(), minlength=_OFF_GRID)[:_OFF_GRID]
+    return hist
+
+
 def count_graph_classes(ctx: FieldContext) -> dict[GraphClass, int]:
     """n_p for each of the 11 classes, counting quadruples up to
     permutation and translation.
 
-    Enumerates the C(p-1, 3) subsets {0, a, b, c}; each translation class
-    contains exactly four of them, so tallies are divided by 4.  The scan
-    is vectorized per smallest nonzero element a over the (b, c) square;
-    the square counts every unordered pair twice, hence a further factor 2.
+    Each class of quadruples holds four subsets {0, a, b, c}, each giving
+    six ordered triples (a, b, c) of distinct nonzero residues, so a class
+    tally over those triples, each classified by its own six edges, is 24
+    times the class count.  For a nonzero square s, x -> s*x fixes 0 and
+    maps the graph to itself (chi(s(x - y)) = chi(x - y)), so the tally
+    T(a) over the pairs (b, c) is the same for every a in an orbit: the
+    (p-1)/2 squares or the (p-1)/2 non-squares.  Only a = 1 and a = delta
+    are scanned, rows of b in tiles of about _TILE_CELLS cells, and each
+    class count is (p-1)/2 * (T(1) + T(delta)) / 24, weight (p-1)/48.  A
+    weighted tally not divisible by 24 raises ArithmeticError.
     """
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4; edge relation not symmetric")
     p = ctx.p
-    is_r = (ctx.chi == 1).astype(np.uint8)
-    pow5 = np.array([1, 5, 25, 125], dtype=np.int16)
-    m_max = p - 2
-    off = np.arange(m_max, dtype=np.int32)
-    # |c - b| table; chi(-x) = chi(x) for p = 1 mod 4, so the absolute
-    # difference indexes the edge relation for both triangle halves.
-    absdiff = np.abs(off[None, :] - off[:, None])
-    hist = np.zeros(501, dtype=np.int64)
-    for a in range(1, p - 2):
-        m = p - 1 - a  # b, c run over a+1 .. p-1
-        if m < 2:
-            break
-        e1 = int(is_r[a])
-        rb = is_r[a + 1: p]          # edge 0-b
-        rba = is_r[1: m + 1]         # edge a-b, index b - a
-        rcb = is_r[absdiff[:m, :m]]  # edge b-c
-        d0 = (e1 + rb)[:, None] + rb[None, :]
-        da = (e1 + rba)[:, None] + rba[None, :]
-        s = rb + rba
-        db = s[:, None] + rcb
-        dc = s[None, :] + rcb
-        key = pow5[d0] + pow5[da] + pow5[db] + pow5[dc]
-        hist += np.bincount(key.ravel(), minlength=501)
-        # remove the b == c diagonal, then halve for the double cover
-        key_diag = pow5[e1 + 2 * rb] + pow5[e1 + 2 * rba] + 2 * pow5[s]
-        hist -= np.bincount(key_diag, minlength=501)
+    is_r = (ctx.root_counts == 2).astype(np.intp)
+    delta = int(np.argmax(ctx.root_counts == 0))
+    tally = dict.fromkeys(_CODE_TO_CLASS.values(), 0)
+    for a in (1, delta):
+        e = int(is_r[a])
+        for key, n in enumerate(_pair_tally(is_r, a).tolist()):
+            tally[_edge_key_class(e, key)] += n
     out = {}
-    for code, cls in _CODE_TO_CLASS.items():
-        tally = int(hist[code])
-        if tally % 8:
-            raise ArithmeticError(f"tally for {cls} not divisible by 8 at p={p}")
-        out[cls] = tally // 8
+    for cls, n in tally.items():
+        weighted = (p - 1) // 2 * n
+        if weighted % 24:
+            raise ArithmeticError(f"tally for {cls} not divisible by 24 at p={p}")
+        out[cls] = weighted // 24
     return out
 
 

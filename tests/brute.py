@@ -1,10 +1,14 @@
 """Slow reference implementations used by the tests.
 
-Everything here is pure Python over Euler-criterion Legendre symbols and
-nested loops, independent of the package's chi tables and numpy kernels.
+Everything here works from Euler-criterion Legendre symbols, independent
+of the package's chi tables and kernels.  All of it is pure Python nested
+loops except `count_classes_enumerated`, a numpy enumeration of every
+quadruple that reaches the primes the pure-Python count cannot.
 """
 
 from itertools import combinations, product
+
+import numpy as np
 
 
 def legendre(a, p):
@@ -134,6 +138,41 @@ def count_classes(p):
         tallies[classify(p, (0,) + abc)] += 1
     assert all(v % 4 == 0 for v in tallies.values())
     return {name: v // 4 for name, v in tallies.items()}
+
+
+def count_classes_enumerated(p):
+    """count_classes(p) by a vectorized scan of all C(p-1, 3) subsets
+    {0, a, b, c}: for each smallest element a, the (b, c) square over
+    a < b, c is classified at once.  Each class of quadruples holds four
+    such subsets, and the square counts every pair {b, c} twice."""
+    is_r = np.array([legendre(t, p) == 1 for t in range(p)], dtype=np.uint8)
+    pow5 = np.array([1, 5, 25, 125], dtype=np.int16)
+    off = np.arange(p - 2, dtype=np.int32)
+    # chi(-x) = chi(x) at p = 1 mod 4, so |c - b| indexes the edge b-c
+    absdiff = np.abs(off[None, :] - off[:, None])
+    hist = np.zeros(501, dtype=np.int64)
+    for a in range(1, p - 2):
+        m = p - 1 - a  # b, c run over a+1 .. p-1
+        e1 = int(is_r[a])
+        rb = is_r[a + 1: p]          # edge 0-b
+        rba = is_r[1: m + 1]         # edge a-b, index b - a
+        rcb = is_r[absdiff[:m, :m]]  # edge b-c
+        d0 = (e1 + rb)[:, None] + rb[None, :]
+        da = (e1 + rba)[:, None] + rba[None, :]
+        s = rb + rba
+        db = s[:, None] + rcb
+        dc = s[None, :] + rcb
+        key = pow5[d0] + pow5[da] + pow5[db] + pow5[dc]
+        hist += np.bincount(key.ravel(), minlength=501)
+        # remove the b == c diagonal
+        key_diag = pow5[e1 + 2 * rb] + pow5[e1 + 2 * rba] + 2 * pow5[s]
+        hist -= np.bincount(key_diag, minlength=501)
+    out = {}
+    for degrees, name in DEGREE_KEYS.items():
+        tally = int(hist[sum(5 ** d for d in degrees)])
+        assert tally % 8 == 0, (name, tally)
+        out[name] = tally // 8
+    return out
 
 
 def cubic_trace(p, coeffs):

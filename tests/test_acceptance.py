@@ -52,9 +52,10 @@ def k3_data():
 
 @pytest.fixture(scope="module")
 def graph_data():
-    """Closed form and full class counts for p = 1 mod 4 up to 613."""
+    """Closed form and full class counts for p = 1 mod 4 up to 613, plus
+    the spot prime 5009."""
     data = {}
-    for p in rl.primes_in(5, 613, (1, 4)):
+    for p in rl.primes_in(5, 613, (1, 4)) + [5009]:
         ctx = rl.build_context(p)
         data[p] = (rl.goncharova_K4(ctx), rl.count_graph_classes(ctx))
     return data
@@ -132,7 +133,7 @@ def test_c05_goncharova_formula(graph_data):
            if formula != counts[rl.GraphClass.K4]]
     anchors = {p: graph_data[p][0] for p in (13, 17, 29)}
     ok = not bad and anchors == {13: 0, 17: 0, 29: 7}
-    _report(5, "closed form = brute force K4 count, p = 1 mod 4 <= 613", ok,
+    _report(5, "closed form = brute force K4 count, p = 1 mod 4 <= 613 and 5009", ok,
             f"anchors={anchors}, {len(graph_data)} primes")
     assert ok, f"K4 formula mismatch at {bad}"
 

@@ -53,6 +53,13 @@ def test_count_graph_K4():
     assert obj == {"p": 29, "object": "graph", "class": "K4", "count": 7}
 
 
+def test_count_graph_wrong_residue_class_exits_2():
+    res = run_cli("count", "graph", "-p", "11", "--class", "K4")
+    assert res.returncode == 2
+    assert "WrongResidueClass" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_count_unknown_object_exits_2():
     res = run_cli("count", "zeta", "-p", "5")
     assert res.returncode == 2
@@ -145,6 +152,13 @@ def test_verify_out_file(tmp_path):
 def test_verify_oracle_flag():
     res = run_cli("verify", "formula2", "--max-p", "100", "--oracle")
     assert res.returncode == 0
+
+
+def test_verify_goncharova_oracle_same_bytes():
+    plain = run_cli("verify", "goncharova1", "--max-p", "200")
+    oracle = run_cli("verify", "goncharova1", "--max-p", "200", "--oracle")
+    assert plain.returncode == oracle.returncode == 0
+    assert plain.stdout and oracle.stdout == plain.stdout
 
 
 def test_verify_manifest_records_main_argv(capsys):

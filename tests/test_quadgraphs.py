@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brute
+from residue_lab import quadgraphs
 from residue_lab import (
     DuplicateResidues,
     GraphClass,
@@ -93,6 +96,53 @@ def test_count_graph_classes_matches_brute():
     for p in (5, 13, 17, 29, 37):
         got = {c.value: n for c, n in count_graph_classes(build_context(p)).items()}
         assert got == brute.count_classes(p), p
+
+
+def _class_values(ctx):
+    return {c.value: n for c, n in count_graph_classes(ctx).items()}
+
+
+def test_count_graph_classes_matches_enumerator():
+    for p in primes_in(5, 319, (1, 4)) + [613]:
+        assert _class_values(build_context(p)) == brute.count_classes_enumerated(p), p
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from(primes_in(5, 1500, (1, 4))), oracle=st.booleans())
+def test_count_graph_classes_properties_at_random_primes(p, oracle):
+    ctx = build_context(p, counting_oracle=oracle)
+    counts = count_graph_classes(ctx)
+    assert all(n >= 0 for n in counts.values())
+    assert sum(counts.values()) == (p - 1) * (p - 2) * (p - 3) // 24
+    assert counts[GraphClass.K4] == goncharova_K4(ctx)
+    if p < 60:
+        assert _class_values(ctx) == brute.count_classes(p)
+
+
+def test_count_graph_classes_oracle_context_agrees():
+    for p in primes_in(5, 400, (1, 4)):
+        assert (count_graph_classes(build_context(p, counting_oracle=True))
+                == count_graph_classes(build_context(p))), p
+
+
+@pytest.mark.parametrize("cells", [7, 37])  # one row per block; several, the last short
+def test_count_graph_classes_independent_of_tiling(monkeypatch, cells):
+    primes = (5, 13, 17, 29, 37, 41, 101, 109)
+    want = {p: count_graph_classes(build_context(p)) for p in primes}
+    monkeypatch.setattr(quadgraphs, "_TILE_CELLS", cells)
+    for p in primes:
+        assert count_graph_classes(build_context(p)) == want[p], p
+
+
+def test_count_graph_classes_memory_bounded():
+    ctx = build_context(5009)
+    tracemalloc.start()
+    try:
+        count_graph_classes(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_class_total_conservation():
