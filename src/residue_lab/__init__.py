@@ -32,6 +32,8 @@ from .patterns import (
     count_pattern,
     count_pattern_charsum,
     jacobsthal,
+    pattern_census,
+    pattern_counts_charsum,
     pattern_curve_count,
     pattern_curve_genus,
     residue_word,

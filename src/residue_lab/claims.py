@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .modarith import FieldContext, build_context, cm_decompose, primes_in
-from .patterns import all_patterns, count_pattern, count_pattern_charsum, weil_deviation, weil_bound_ok
+from .patterns import _weil_law, pattern_census, pattern_counts_charsum
 from .quadgraphs import GraphClass, count_graph_classes, goncharova_K4
 from .records import VerificationRecord
 from . import curves, k3
@@ -59,9 +59,10 @@ def _run_charsum_consistency(ctx: FieldContext) -> VerificationRecord:
     mismatched = []
     checked = 0
     for ell in range(1, min(5, p - 1) + 1):
-        for s in all_patterns(ell):
+        expansion = pattern_counts_charsum(ctx, ell)
+        for s, n in pattern_census(ctx, ell).items():
             checked += 1
-            if count_pattern(ctx, s) != count_pattern_charsum(ctx, s):
+            if n != expansion[s]:
                 mismatched.append(s)
     return VerificationRecord(
         p, "charsum_consistency", {"mismatches": 0},
@@ -72,11 +73,11 @@ def _run_charsum_consistency(ctx: FieldContext) -> VerificationRecord:
 def _run_weil_bound(ctx: FieldContext) -> VerificationRecord:
     violations = []
     worst = None
-    for s in all_patterns(4):
-        dev, bound = weil_deviation(ctx, s)
+    for s, n in pattern_census(ctx, 4).items():
+        dev, bound, ok = _weil_law(ctx.p, n)
         if worst is None or abs(dev) > abs(worst[1]):
             worst = (s, dev, bound)
-        if not weil_bound_ok(ctx, s):
+        if not ok:
             violations.append(s)
     return VerificationRecord(
         ctx.p, "weil_bound", {"violations": 0},
@@ -95,34 +96,6 @@ def _run_cm_traces(ctx: FieldContext) -> VerificationRecord:
                               expected == actual, detail={"traces": tr})
 
 
-def _run_gauss_edwards(ctx):
-    return curves.verify_gauss_edwards(ctx)
-
-
-def _run_j_relations(ctx):
-    return curves.verify_J_relations(ctx)
-
-
-def _run_genus2(ctx):
-    return curves.genus2_involution_check(ctx)
-
-
-def _run_formula2(ctx):
-    return k3.verify_formula2(ctx)
-
-
-def _run_identity5(ctx):
-    return k3.verify_identity5(ctx)
-
-
-def _run_bookkeeping(ctx):
-    return k3.verify_lemma_bookkeeping(ctx)
-
-
-def _run_fibration(ctx):
-    return k3.verify_fibration(ctx)
-
-
 @dataclass(frozen=True)
 class ClaimDef:
     name: str
@@ -133,27 +106,27 @@ class ClaimDef:
 
 
 CLAIMS = {c.name: c for c in [
-    ClaimDef("formula2", (1, 4), 5, _run_formula2,
+    ClaimDef("formula2", (1, 4), 5, k3.verify_formula2,
              "three-quadric surface count equals (p-1)^2 + J^2 + 4"),
-    ClaimDef("identity5", None, 3, _run_identity5,
+    ClaimDef("identity5", None, 3, k3.verify_identity5,
              "surface count equals (p+1)^2 + (N-p)^2 + 1"),
     ClaimDef("goncharova1", (1, 4), 5, _run_goncharova1,
              "closed form for the K4 quadruple count, plus class-total conservation"),
     ClaimDef("tables", None, 5, _run_tables,
              "quartic twist rows match the counts table for p mod 8"),
-    ClaimDef("fibration", (1, 4), 5, _run_fibration,
+    ClaimDef("fibration", (1, 4), 5, k3.verify_fibration,
              "chart identities: total, boundary, interior, per-fiber counts"),
-    ClaimDef("gauss_edwards", (1, 4), 5, _run_gauss_edwards,
+    ClaimDef("gauss_edwards", (1, 4), 5, curves.verify_gauss_edwards,
              "Edwards smooth count equals (a-1)^2 + b^2"),
-    ClaimDef("j_relations", (1, 4), 5, _run_j_relations,
+    ClaimDef("j_relations", (1, 4), 5, curves.verify_J_relations,
              "Jacobsthal sum vs curve count and CM decomposition"),
-    ClaimDef("bookkeeping", (1, 4), 5, _run_bookkeeping,
+    ClaimDef("bookkeeping", (1, 4), 5, k3.verify_lemma_bookkeeping,
              "surface difference M - S equals 4p - 3"),
     ClaimDef("charsum_consistency", None, 3, _run_charsum_consistency,
              "window scan equals character-sum expansion, lengths <= 5"),
     ClaimDef("weil_bound", None, 17, _run_weil_bound,
              "length-4 deviations within (11 sqrt p + 16)/16"),
-    ClaimDef("genus2", (1, 4), 5, _run_genus2,
+    ClaimDef("genus2", (1, 4), 5, curves.genus2_involution_check,
              "quintic involution permutes the point set"),
     ClaimDef("cm_traces", None, 5, _run_cm_traces,
              "trace relations among the five named curves"),

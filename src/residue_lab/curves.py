@@ -53,6 +53,8 @@ QUARTIC_VARIANT_NAMES = {
 QUARTIC_TABLE_PM1 = {1: (2, 6, 8), 2: (0, 4, 4), 3: (2, 2, 4), 4: (0, 0, 0)}
 QUARTIC_TABLE_PM3 = {1: (2, 2, 4), 2: (0, 0, 0), 3: (2, 6, 8), 4: (0, 4, 4)}
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -68,12 +70,25 @@ class CountRecord:
 
 
 def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
-    """f(x) mod p for all x in 0..p-1, Horner."""
+    """f(x) mod p for all x in 0..p-1, Horner.
+
+    Reduces mod p only when the next multiply-add could pass the int64
+    range, judged by an exact bound on the unreduced values, and once at
+    the end.
+    """
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
     vals = np.full(p, coeffs[-1] % p, dtype=np.int64)
+    bound = coeffs[-1] % p  # vals stay in [0, bound]
     for c in reversed(coeffs[:-1]):
-        vals = (vals * x + c) % p
+        c %= p
+        if bound * (p - 1) + c > _INT64_MAX:
+            vals %= p
+            bound = p - 1
+        np.multiply(vals, x, out=vals)
+        vals += c
+        bound = bound * (p - 1) + c
+    vals %= p
     return vals
 
 
@@ -286,23 +301,27 @@ def genus2_involution_check(ctx: FieldContext, sample_size: int = 50000) -> Veri
         detail={"points_checked": int(pts_x.size)})
 
 
-def fiber_pattern_counts(ctx: FieldContext) -> dict[str, int]:
-    """Counts of t != 0 with t^2 + 1 != 0, bucketed by the residue pattern
-    of (t, t^2 + 1); R = residue, N = non-residue."""
+def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
+    """Masks over t = 1..p-1 of the t with t^2 + 1 != 0, bucketed by the
+    residue pattern of (t, t^2 + 1); R = residue, N = non-residue.  Keys
+    RR, RN, NR, NN follow the quartic variants 1..4."""
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    p = ctx.p
-    t = np.arange(1, p, dtype=np.int64)
-    tt1 = (ctx.squares[1:] + 1) % p
+    tt1 = (ctx.squares[1:] + 1) % ctx.p
     valid = tt1 != 0
-    t_res = ctx.chi[t] == 1
+    t_res = ctx.chi[1:] == 1
     s_res = ctx.chi[tt1] == 1
     return {
-        "RR": int((valid & t_res & s_res).sum()),
-        "RN": int((valid & t_res & ~s_res).sum()),
-        "NR": int((valid & ~t_res & s_res).sum()),
-        "NN": int((valid & ~t_res & ~s_res).sum()),
+        "RR": valid & t_res & s_res,
+        "RN": valid & t_res & ~s_res,
+        "NR": valid & ~t_res & s_res,
+        "NN": valid & ~t_res & ~s_res,
     }
+
+
+def fiber_pattern_counts(ctx: FieldContext) -> dict[str, int]:
+    """Counts of t != 0 with t^2 + 1 != 0 per bucket of `fiber_buckets`."""
+    return {key: int(mask.sum()) for key, mask in fiber_buckets(ctx).items()}
 
 
 def normalized_trace(p: int, trace: int) -> float:

@@ -286,17 +286,11 @@ def verify_fibration(ctx: FieldContext) -> VerificationRecord:
     quarter_sum //= 4
     a = rows[0].trace
     closed = p * p - 6 * p + 17 + a * a
-    # per-fiber: bucket each valid t by (chi(t), chi(t^2+1))
-    t = np.arange(1, p, dtype=np.int64)
-    tt1 = (ctx.squares[1:] + 1) % p
-    valid = tt1 != 0
-    t_res = ctx.chi[t] == 1
-    s_res = ctx.chi[tt1] == 1
-    masks = (t_res & s_res, t_res & ~s_res, ~t_res & s_res, ~t_res & ~s_res)
+    # per-fiber: each bucket of t matches its quartic variant's interior
     inner_fibers = fibers[1:]
     fibers_ok = all(
-        bool((inner_fibers[valid & mask] == circ[i]).all())
-        for i, mask in enumerate(masks))
+        bool((inner_fibers[mask] == c).all())
+        for mask, c in zip(curves.fiber_buckets(ctx).values(), circ))
     expected = {"total_plus_p": m, "boundary": 7 * p - 15,
                 "interior": quarter_sum, "interior_closed": closed,
                 "fibers_ok": True}

@@ -2,20 +2,38 @@
 
 The word for p lists positions 1..p-1, writing X for quadratic residues
 and Y for non-residues.  Pattern occurrences are counted two independent
-ways: a direct window scan, and the complete-character-sum expansion that
-rewrites the count through sums of chi over products of shifted linear
-factors.  Both must agree exactly.
+ways, and both must agree exactly:
+
+- Window scan.  `pattern_census` codes every window of length ell as an
+  ell-bit integer (Y = 1, first letter most significant, so the code of S
+  is its index in `all_patterns(ell)`) and counts all 2^ell patterns with
+  one bincount.  `count_pattern` scans the word for one pattern of any
+  length.
+- Character-sum expansion.  2^ell n_p(S) is the complete sum over a in F_p
+  of prod_j (1 + eps_j chi(a + j)), less the ell windows that cross
+  position 0.  Expanding the product gives the subset sums
+  T(I) = sum_a chi(prod_{j in I} (a + j)) with sign prod_{j in I} eps_j =
+  (-1)^|I & Y(S)|, so one Walsh-Hadamard transform of the vector T gives
+  the full sum for every S at once.  `pattern_counts_charsum` computes each
+  T(I) once per (p, ell), building the products depth-first.
+
+Neither path reads the other's output.  Both refuse a length whose 2^ell
+bins would not stay O(p).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .errors import PatternTooLong, WrongResidueClass
 from .modarith import FieldContext
+
+# A census of length ell keeps 2^ell bins; refusing more than this many per
+# unit of p keeps them O(p).  It admits every ell <= p - 1 for p <= 7.
+_CENSUS_BINS_PER_P = 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,34 @@ def count_pattern(ctx: FieldContext, S) -> int:
     return int(match.sum())
 
 
+def _check_census_length(p: int, ell: int) -> None:
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got {ell}")
+    if ell > p - 1:
+        raise PatternTooLong(f"pattern of length {ell} cannot occur for p={p}")
+    if (1 << ell) > _CENSUS_BINS_PER_P * p:
+        raise PatternTooLong(f"a census of length {ell} needs 2^{ell} bins, "
+                             f"more than {_CENSUS_BINS_PER_P}p for p={p}")
+
+
+def pattern_census(ctx: FieldContext, ell: int) -> dict[str, int]:
+    """Window counts of every pattern of length ell, in `all_patterns` order.
+
+    One integer code per window, then one bincount: O(ell * p) however many
+    of the patterns are read.
+    """
+    p = ctx.p
+    _check_census_length(p, ell)
+    is_y = (ctx.chi[1:] != 1).astype(np.int64)
+    n = p - ell  # number of windows
+    codes = is_y[:n].copy()
+    for j in range(1, ell):
+        codes <<= 1
+        codes |= is_y[j:j + n]
+    counts = np.bincount(codes, minlength=1 << ell)
+    return dict(zip(all_patterns(ell), counts.tolist()))
+
+
 def jacobsthal(ctx: FieldContext) -> int:
     """Sum of chi(a(a+1)(a+2)) over all a mod p, for p = 4k + 1.
 
@@ -111,35 +157,72 @@ def char_sum(ctx: FieldContext, I) -> int:
     return int(ctx.chi[f].sum())
 
 
-def count_pattern_charsum(ctx: FieldContext, S) -> int:
-    """count_pattern recomputed through complete character sums.
+def _subset_char_sums(ctx: FieldContext, ell: int) -> np.ndarray:
+    """T(I) = sum_a chi(prod_{j in I} (a + j)) for every I within 0..ell-1,
+    indexed by the bitmask of I (offset j is bit ell-1-j); T(empty) = p.
+
+    Depth-first over the offsets: each product extends its parent's by one
+    factor into the buffer of its depth, so at most ell length-p arrays are
+    live.
+    """
+    p = ctx.p
+    shifted = np.arange(p + ell - 1, dtype=np.int64) % p  # a + j = shifted[j:j+p]
+    buffers = np.empty((ell - 1, p), dtype=np.int64)
+    sums = np.zeros(1 << ell, dtype=np.int64)
+    sums[0] = p
+
+    def extend(prod: np.ndarray, mask: int, start: int, depth: int) -> None:
+        sums[mask] = int(ctx.chi[prod].sum())
+        for j in range(start, ell):
+            child = buffers[depth]
+            np.multiply(prod, shifted[j:j + p], out=child)
+            child %= p
+            extend(child, mask | 1 << (ell - 1 - j), j + 1, depth + 1)
+
+    for j in range(ell):
+        extend(shifted[j:j + p], 1 << (ell - 1 - j), j + 1, 0)
+    return sums
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """H[s] = sum_i (-1)^popcount(i & s) v[i] for len(v) a power of 2."""
+    h = v
+    step = 1
+    while step < v.size:
+        h = h.reshape(-1, 2, step)
+        h = np.stack((h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]), axis=1)
+        step *= 2
+    return h.reshape(-1)
+
+
+def pattern_counts_charsum(ctx: FieldContext, ell: int) -> dict[str, int]:
+    """pattern_census recomputed through complete character sums.
 
     2^ell * n_p(S) equals the full sum over a in F_p of
     prod_j (1 + eps_j * chi(a + j)) minus the same product summed over the
     ell window starts whose window crosses position 0.
     """
-    s = parse_pattern(S)
-    ell = len(s)
     p = ctx.p
-    if ell > p - 1:
-        raise PatternTooLong(f"pattern of length {ell} cannot occur for p={p}")
-    eps = [1 if ch == "X" else -1 for ch in s]
-    total = p  # empty index set contributes sum_a 1
-    for r in range(1, ell + 1):
-        for I in combinations(range(ell), r):
-            sign = math.prod(eps[j] for j in I)
-            total += sign * char_sum(ctx, I)
-    crossing = 0
+    _check_census_length(p, ell)
+    full = _walsh_hadamard(_subset_char_sums(ctx, ell))
+    # eps[S, j] = -1 where letter j of pattern S is Y
+    codes = np.arange(1 << ell, dtype=np.int64)
+    eps = 1 - 2 * ((codes[:, None] >> np.arange(ell - 1, -1, -1)) & 1)
+    crossing = np.zeros(1 << ell, dtype=np.int64)
     for j0 in range(ell):
-        a = (-j0) % p
-        term = 1
-        for j in range(ell):
-            term *= 1 + eps[j] * int(ctx.chi[(a + j) % p])
-        crossing += term
-    diff = total - crossing
-    if diff % (1 << ell):
+        window = ctx.chi[(np.arange(ell) - j0) % p].astype(np.int64)
+        crossing += np.prod(1 + eps * window, axis=1)
+    diff = full - crossing
+    if np.any(diff % (1 << ell)):
         raise ArithmeticError(f"character-sum expansion not divisible by 2^{ell} at p={p}")
-    return diff >> ell
+    return dict(zip(all_patterns(ell), (diff >> ell).tolist()))
+
+
+def count_pattern_charsum(ctx: FieldContext, S) -> int:
+    """count_pattern recomputed through complete character sums; one entry
+    of `pattern_counts_charsum`."""
+    s = parse_pattern(S)
+    return pattern_counts_charsum(ctx, len(s))[s]
 
 
 def pattern_curve_genus(ell: int) -> int:
@@ -166,6 +249,17 @@ def pattern_curve_count(ctx: FieldContext, ell: int) -> int:
     return int(total.sum())
 
 
+def _weil_law(p: int, n: int) -> tuple[Fraction, float, bool]:
+    """For a length-4 pattern count n at p: the deviation n - (p-1)/16 as an
+    exact fraction, the bound (11*sqrt(p)+16)/16, and the exact check
+    |deviation| <= bound, in integers."""
+    d16 = 16 * n - (p - 1)
+    deviation = Fraction(d16, 16)
+    bound = (11.0 * math.sqrt(p) + 16.0) / 16.0
+    excess = abs(d16) - 16
+    return deviation, bound, excess <= 0 or excess * excess <= 121 * p
+
+
 def weil_deviation(ctx: FieldContext, S) -> tuple[Fraction, float]:
     """Deviation of a length-4 pattern count from (p-1)/16, with its bound.
 
@@ -176,9 +270,7 @@ def weil_deviation(ctx: FieldContext, S) -> tuple[Fraction, float]:
         raise ValueError("deviation is defined for length-4 patterns")
     if ctx.p < 17:
         raise ValueError("need p >= 17")
-    n = count_pattern(ctx, s)
-    deviation = Fraction(16 * n - (ctx.p - 1), 16)
-    bound = (11.0 * math.sqrt(ctx.p) + 16.0) / 16.0
+    deviation, bound, _ = _weil_law(ctx.p, count_pattern(ctx, s))
     return deviation, bound
 
 
@@ -187,8 +279,4 @@ def weil_bound_ok(ctx: FieldContext, S) -> bool:
     s = parse_pattern(S)
     if len(s) != 4:
         raise ValueError("bound is defined for length-4 patterns")
-    n = count_pattern(ctx, s)
-    d16 = abs(16 * n - (ctx.p - 1))
-    if d16 <= 16:
-        return True
-    return (d16 - 16) ** 2 <= 121 * ctx.p
+    return _weil_law(ctx.p, count_pattern(ctx, s))[2]

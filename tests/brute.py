@@ -62,6 +62,17 @@ def chain_curve_count(p, ell):
     return count
 
 
+def poly_eval_horner(p, coeffs):
+    """f(x) mod p for x in 0..p-1, reducing after every Horner step."""
+    out = []
+    for x in range(p):
+        f = 0
+        for c in reversed(coeffs):
+            f = (f * x + c) % p
+        out.append(f)
+    return out
+
+
 def affine_count(p, coeffs, twist=1):
     total = 0
     for x in range(p):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -216,3 +217,16 @@ def test_quartic_tables():
         (2, 6, 8), (0, 4, 4), (2, 2, 4), (0, 0, 0)]
     traces = [o["trace"] for o in objs]
     assert traces == [traces[0], -traces[0], -traces[0], traces[0]]
+
+
+@pytest.mark.parametrize("claim, digest", [
+    ("weil_bound", "dd79bd48b34e6070a888f343c4c8ae4666ae63f4a6ef2e1bbbf8b12692683064"),
+    ("charsum_consistency",
+     "845eb55ad3f62b0eaa98298d64d860529be149ddaefc576087d436453a0b4c84"),
+])
+def test_verify_pattern_claims_frozen_bytes(claim, digest):
+    # sha256 of the records as one window scan per pattern wrote them, down
+    # to the tie order of weil_bound's worst_pattern
+    res = run_cli("verify", claim, "--max-p", "2000", "--jobs", "1")
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

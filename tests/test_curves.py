@@ -19,7 +19,9 @@ from residue_lab import (
     verify_gauss_edwards,
     weierstrass_trace,
 )
+from residue_lab import curves
 from residue_lab.curves import (
+    GENUS2_QUINTIC,
     NAMED_CURVES,
     WEIERSTRASS_CM,
     expected_quartic_table,
@@ -202,3 +204,16 @@ def test_fiber_pattern_counts():
             interior = quartic_interior_count(rec)
             assert interior % 4 == 0, (p, name)
             assert buckets[name] == interior // 4, (p, name)
+
+
+@pytest.mark.parametrize("p, spec", [
+    # the quintic at 10007 and the quartic at 65537 and 100003 would pass
+    # 2^63 - 1 unreduced, so the deferred path must reduce mid-way
+    (10007, GENUS2_QUINTIC),
+    (65537, NAMED_CURVES["e"]),
+    (100003, NAMED_CURVES["e"]),
+    (100003, WEIERSTRASS_CM),  # a negative coefficient
+])
+def test_poly_eval_all_matches_per_step_horner(p, spec):
+    got = curves._poly_eval_all(build_context(p), spec.coeffs)
+    assert got.tolist() == brute.poly_eval_horner(p, spec.coeffs)

@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab import (
@@ -15,6 +17,8 @@ from residue_lab import (
     count_pattern,
     count_pattern_charsum,
     jacobsthal,
+    pattern_census,
+    pattern_counts_charsum,
     pattern_curve_count,
     pattern_curve_genus,
     primes_in,
@@ -78,6 +82,54 @@ def test_count_pattern_too_long():
         count_pattern(build_context(5), "XXXXX")
     with pytest.raises(PatternTooLong):
         count_pattern_charsum(build_context(5), "XXXXX")
+    for census in (pattern_census, pattern_counts_charsum):
+        with pytest.raises(PatternTooLong):
+            census(build_context(5), 5)
+        with pytest.raises(PatternTooLong):  # 2^10 bins are more than 16p
+            census(build_context(11), 10)
+        with pytest.raises(ValueError):
+            census(build_context(5), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(primes_in(3, 300)), oracle=st.booleans())
+def test_census_matches_scans_at_random_primes(p, oracle):
+    ctx = build_context(p, counting_oracle=oracle)
+    for ell in range(1, min(5, p - 1) + 1):
+        census = pattern_census(ctx, ell)
+        assert list(census) == all_patterns(ell)
+        assert sum(census.values()) == p - ell
+        for s in all_patterns(ell):
+            assert census[s] == count_pattern(ctx, s) == brute.count_pattern_scan(p, s), (p, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from(primes_in(3, 2000)), oracle=st.booleans())
+def test_charsum_expansion_matches_census_at_random_primes(p, oracle):
+    ctx = build_context(p, counting_oracle=oracle)
+    for ell in range(1, min(5, p - 1) + 1):
+        assert pattern_counts_charsum(ctx, ell) == pattern_census(ctx, ell), (p, ell)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_charsum_expansion_at_longest_length(p):
+    # the only window of length p - 1 is the whole word
+    ctx = build_context(p)
+    census = pattern_census(ctx, p - 1)
+    assert census == {s: int(s == str(residue_word(ctx))) for s in all_patterns(p - 1)}
+    assert pattern_counts_charsum(ctx, p - 1) == census
+
+
+def test_charsum_expansion_memory_bounded():
+    ctx = build_context(100003)
+    tracemalloc.start()
+    try:
+        counts = pattern_counts_charsum(ctx, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert counts == pattern_census(ctx, 5)
 
 
 def test_jacobsthal_frozen_values():
