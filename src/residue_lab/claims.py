@@ -3,13 +3,16 @@
 Each claim owns its eligible residue class and minimum prime; a user
 filter can only restrict the set further.  Runners return one
 VerificationRecord per prime, with pass defined as expected == actual.
+A run over many primes builds their contexts in one ContextArena; no
+context outlives the claim run that built it.
 """
 
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .modarith import FieldContext, build_context, cm_decompose, primes_in
+from .modarith import (ContextArena, FieldContext, build_context, cm_decompose,
+                       primes_in)
 from .patterns import _weil_law, pattern_census, pattern_counts_charsum
 from .quadgraphs import GraphClass, count_graph_classes, goncharova_K4
 from .records import VerificationRecord
@@ -146,19 +149,23 @@ def eligible_primes(claim: ClaimDef, min_p: int, max_p: int,
     return primes
 
 
-def run_claim(claim_name: str, p: int, oracle: bool = False) -> VerificationRecord:
-    """Build the context for p and run one claim, timing it."""
+def run_claim(claim_name: str, p: int, oracle: bool = False,
+              arena: ContextArena | None = None) -> VerificationRecord:
+    """Build the context for p, in `arena` when given, and run one claim,
+    timing it."""
     claim = CLAIMS[claim_name]
     start = time.perf_counter()
-    ctx = build_context(p, counting_oracle=oracle)
+    ctx = build_context(p, counting_oracle=oracle, arena=arena)
     record = claim.run(ctx)
     record.elapsed = time.perf_counter() - start
     return record
 
 
-def _verify_worker(args: tuple[str, int, bool]) -> dict:
-    claim_name, p, oracle = args
-    return run_claim(claim_name, p, oracle).to_obj()
+def _verify_worker(args: tuple[str, list[int], bool]) -> list[dict]:
+    """Records of one claim at ascending primes, all built in one arena."""
+    claim_name, primes, oracle = args
+    arena = ContextArena(max(primes, default=0))
+    return [run_claim(claim_name, p, oracle, arena).to_obj() for p in primes]
 
 
 def cm_payload(p: int) -> dict:

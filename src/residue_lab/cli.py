@@ -3,12 +3,12 @@
 Subcommands: word, count, verify, satotate, cm, quartic-tables.
 Exit codes: 0 all passed, 1 some verification failed, 2 usage or domain
 error, 3 internal invariant violated (an ArithmeticError from a
-consistency check such as the Hasse bound or a divisibility test: a
-defect in the library, not a failing claim).  Verification streams are
-JSONL (default) or CSV with fixed key order; records are emitted in
-ascending p regardless of --jobs, and nothing time-dependent is written
-to stdout, so outputs are byte-identical across runs.  The run manifest
-goes to stderr.
+consistency check such as the Hasse bound or a divisibility test, or a
+read of a stale context: a defect in the library, not a failing claim).
+Verification streams are JSONL (default) or CSV with fixed key order;
+records are emitted in ascending p regardless of --jobs, and nothing
+time-dependent is written to stdout, so outputs are byte-identical across
+runs.  The run manifest goes to stderr.
 """
 
 import argparse
@@ -158,13 +158,14 @@ def _cmd_verify(args) -> int:
         command=" ".join(args.argv),
         claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=jobs,
         started=datetime.now(timezone.utc).isoformat())
-    tasks = [(args.claim, p, args.oracle) for p in primes]
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
+    if jobs > 1 and len(primes) > 1:
+        chunk = max(1, len(primes) // (8 * jobs))
+        tasks = [(args.claim, primes[i:i + chunk], args.oracle)
+                 for i in range(0, len(primes), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_verify_worker, tasks, chunksize=chunk))
+            records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
     else:
-        records = [_verify_worker(t) for t in tasks]
+        records = _verify_worker((args.claim, primes, args.oracle))
     records.sort(key=lambda r: r["p"])
     _emit_records(records, args.format, args.out)
     manifest.finished = datetime.now(timezone.utc).isoformat()

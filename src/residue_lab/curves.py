@@ -4,16 +4,18 @@ Edwards quartic x^2 + y^2 = 1 - x^2 y^2, the four lemniscatic quartic
 twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 
 All counts run over the chi table of a FieldContext: one Horner pass and
-one root_counts gather per curve.
+one root_counts gather per curve.  Whether a model reduces well at p is
+read off its integer discriminant, computed once per model.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularCurve, WrongResidueClass
-from .modarith import FieldContext, cm_decompose
+from .modarith import FieldContext, cm_decompose, reduce_mod
 from .patterns import jacobsthal
 from .records import VerificationRecord
 
@@ -27,6 +29,49 @@ class HyperellipticSpec:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def discriminant(self) -> int:
+        """The integer discriminant of f, computed once per spec."""
+        return _discriminant(self.coeffs)
+
+
+def _determinant(rows: list[list[int]]) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _discriminant(coeffs: tuple[int, ...]) -> int:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / a_n for f of degree n, with
+    coefficients in ascending order; 1 for n < 2.  The resultant is the
+    determinant of the Sylvester matrix of f and f'."""
+    n = len(coeffs) - 1
+    if n < 2:
+        return 1
+    f = list(reversed(coeffs))
+    g = [i * c for i, c in enumerate(coeffs)][:0:-1]  # f', descending
+    size = 2 * n - 1
+    sylvester = ([[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
+                 + [[0] * i + g + [0] * (size - n - i) for i in range(n)])
+    res = _determinant(sylvester)
+    disc, rem = divmod(res if n * (n - 1) // 2 % 2 == 0 else -res, coeffs[-1])
+    if rem:
+        raise ArithmeticError(f"resultant of {coeffs} not divisible by its leading coefficient")
+    return disc
 
 
 # Named cubics and the quartic used throughout; all have leading
@@ -55,6 +100,9 @@ QUARTIC_TABLE_PM3 = {1: (2, 2, 4), 2: (0, 0, 0), 3: (2, 6, 8), 4: (0, 4, 4)}
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Values of x per block of the genus-2 check; bounds its temporaries.
+_GENUS2_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -79,47 +127,26 @@ def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
     vals = np.full(p, coeffs[-1] % p, dtype=np.int64)
+    spare = None  # each reduction writes into the other buffer
     bound = coeffs[-1] % p  # vals stay in [0, bound]
     for c in reversed(coeffs[:-1]):
         c %= p
         if bound * (p - 1) + c > _INT64_MAX:
-            vals %= p
+            vals, spare = reduce_mod(vals, p, out=spare), vals
             bound = p - 1
         np.multiply(vals, x, out=vals)
         vals += c
         bound = bound * (p - 1) + c
-    vals %= p
-    return vals
-
-
-def _poly_gcd_degree(f: list[int], g: list[int], p: int) -> int:
-    """Degree of gcd(f, g) over F_p (coeff lists ascending, may be empty)."""
-    def trim(h):
-        while h and h[-1] % p == 0:
-            h.pop()
-        return h
-
-    f, g = trim([c % p for c in f]), trim([c % p for c in g])
-    while g:
-        inv = pow(g[-1], p - 2, p)
-        while len(f) >= len(g):
-            factor = f[-1] * inv % p
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[i + shift] = (f[i + shift] - factor * c) % p
-            f = trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return len(f) - 1
+    return reduce_mod(vals, p, out=x)  # x is spent
 
 
 def is_squarefree_mod(spec: HyperellipticSpec, p: int) -> bool:
-    f = [c % p for c in spec.coeffs]
-    if not any(f):
-        return False
-    deriv = [i * c % p for i, c in enumerate(spec.coeffs)][1:]
-    return _poly_gcd_degree(list(f), deriv, p) <= 0
+    """Whether f is squarefree mod p.  With a unit leading coefficient the
+    discriminant reduces to that of f mod p, so this holds exactly when p
+    does not divide disc(f)."""
+    if spec.coeffs[-1] % p == 0:
+        raise ValueError("need a unit leading coefficient mod p")
+    return spec.discriminant % p != 0
 
 
 def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
@@ -130,7 +157,8 @@ def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
         raise ValueError("twist vanishes mod p")
     vals = _poly_eval_all(ctx, spec.coeffs)
     if tw != 1:
-        vals = vals * pow(tw, p - 2, p) % p
+        vals *= pow(tw, p - 2, p)
+        vals = reduce_mod(vals, p)
     return int(ctx.root_counts[vals].sum())
 
 
@@ -187,8 +215,8 @@ def quartic_spec(ctx: FieldContext, variant: int) -> HyperellipticSpec:
     return HyperellipticSpec((1, 0, 0, 0, c), twist=tw)
 
 
-def quartic_row(ctx: FieldContext, variant: int) -> CountRecord:
-    """Full count record for one quartic twist variant."""
+def _quartic_row(ctx: FieldContext, variant: int, s4: np.ndarray) -> CountRecord:
+    """quartic_row, given s4[s] = s^4 mod p."""
     p = ctx.p
     if p < 5:
         raise SingularCurve(f"p={p}: quartic degenerates")
@@ -196,18 +224,27 @@ def quartic_row(ctx: FieldContext, variant: int) -> CountRecord:
     c = spec.coeffs[-1]
     tw = spec.twist % p
     tw_inv = pow(tw, p - 2, p)
-    s4 = ctx.squares[ctx.squares]  # s^4 mod p
-    f = (c * s4 + 1) % p
-    affine = int(ctx.root_counts[f * tw_inv % p].sum())
+    raw = s4 * c
+    raw += 1
+    f = reduce_mod(raw, p)
     zero_locus = int((f == 0).sum()) + int(ctx.root_counts[tw_inv])
+    np.multiply(f, tw_inv, out=raw)
+    affine = int(ctx.root_counts[reduce_mod(raw, p, out=f)].sum())
     infinity = 2 if ctx.chi[c * tw_inv % p] == 1 else 0
     trace = p + 1 - (affine + infinity)
     return CountRecord(p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
                        zero_locus, trace)
 
 
+def quartic_row(ctx: FieldContext, variant: int) -> CountRecord:
+    """Full count record for one quartic twist variant."""
+    return _quartic_row(ctx, variant, ctx.squares[ctx.squares])
+
+
 def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
-    return [quartic_row(ctx, v) for v in (1, 2, 3, 4)]
+    """The rows of all four variants, sharing one table of s^4."""
+    s4 = ctx.squares[ctx.squares]
+    return [_quartic_row(ctx, v, s4) for v in (1, 2, 3, 4)]
 
 
 def quartic_interior_count(rec: CountRecord) -> int:
@@ -230,8 +267,8 @@ def edwards_affine(ctx: FieldContext) -> int:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
     p = ctx.p
     sq = ctx.squares
-    mask = (1 + sq) % p != 0
-    vals = (1 - sq[ctx.squares]) % p  # 1 - x^4
+    mask = reduce_mod(sq + 1, p) != 0
+    vals = reduce_mod(1 - sq[sq], p)  # 1 - x^4
     return int(ctx.root_counts[vals[mask]].sum())
 
 
@@ -269,12 +306,13 @@ def verify_J_relations(ctx: FieldContext) -> VerificationRecord:
                               expected == actual, detail=detail)
 
 
-def genus2_involution_check(ctx: FieldContext, sample_size: int = 50000) -> VerificationRecord:
+def genus2_involution_check(ctx: FieldContext) -> VerificationRecord:
     """Checks that (x, y) -> (-x-4, i*y) permutes the affine points of
     y^2 = x(x+1)(x+2)(x+3)(x+4) and that applying it twice flips y.
 
-    Checks every point when there are at most sample_size of them,
-    otherwise the deterministic prefix in x order.
+    Every point is checked, _GENUS2_CHUNK values of x at a time, so the
+    temporaries stay bounded at any p.  `points_checked` counts two points
+    (x, y) and (x, -y) for each x with f(x) a square or zero.
     """
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} has no square root of -1")
@@ -285,20 +323,20 @@ def genus2_involution_check(ctx: FieldContext, sample_size: int = 50000) -> Veri
     some_root = np.zeros(p, dtype=np.int64)
     some_root[ctx.squares] = np.arange(p, dtype=np.int64)
     xs = np.flatnonzero(ctx.root_counts[f] > 0)
-    y0 = some_root[f[xs]]
-    pts_x = np.concatenate([xs, xs])
-    pts_y = np.concatenate([y0, (p - y0) % p])
-    if pts_x.size > sample_size:
-        pts_x, pts_y = pts_x[:sample_size], pts_y[:sample_size]
-    ix = (-pts_x - 4) % p
-    iy = i_unit * pts_y % p
-    on_curve = (iy * iy % p) == f[ix]
-    x_back = ((-ix - 4) % p) == pts_x
-    y_flip = (i_unit * iy % p) == (p - pts_y) % p
-    mismatches = int((~on_curve).sum() + (~x_back).sum() + (~y_flip).sum())
+    mismatches = 0
+    for lo in range(0, xs.size, _GENUS2_CHUNK):
+        x = xs[lo:lo + _GENUS2_CHUNK]
+        y0 = some_root[f[x]]
+        ix = reduce_mod(-x - 4, p)
+        x_back = reduce_mod(-ix - 4, p) == x
+        for y in (y0, reduce_mod(p - y0, p)):
+            iy = reduce_mod(y * i_unit, p)
+            on_curve = reduce_mod(iy * iy, p) == f[ix]
+            y_flip = reduce_mod(iy * i_unit, p) == reduce_mod(p - y, p)
+            mismatches += int((~on_curve).sum() + (~x_back).sum() + (~y_flip).sum())
     return VerificationRecord(
         ctx.p, "genus2", 0, mismatches, mismatches == 0,
-        detail={"points_checked": int(pts_x.size)})
+        detail={"points_checked": 2 * int(xs.size)})
 
 
 def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
@@ -307,7 +345,7 @@ def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
     RR, RN, NR, NN follow the quartic variants 1..4."""
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    tt1 = (ctx.squares[1:] + 1) % ctx.p
+    tt1 = reduce_mod(ctx.squares[1:] + 1, ctx.p)
     valid = tt1 != 0
     t_res = ctx.chi[1:] == 1
     s_res = ctx.chi[tt1] == 1

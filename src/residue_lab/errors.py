@@ -39,3 +39,9 @@ class EmptySample(ResidueLabError):
 
 class OutOfDomain(ResidueLabError):
     """Argument outside the function's domain."""
+
+
+class StaleContext(ArithmeticError):
+    """A context's tables were read after its arena had built the next
+    prime's.  A defect in the library, not a user error, so it is an
+    ArithmeticError and the CLI reports it as a broken invariant (exit 3)."""

@@ -21,7 +21,9 @@ without changing its value:
   _TILE_CELLS cells, each reduced with a matrix-vector product against the
   column weights.  Every block is computed in place in the same few
   buffers, allocated once per scan, so no temporary exceeds one block and
-  the scan does not churn the heap from block to block.
+  the scan does not churn the heap from block to block.  One of them holds
+  each block's unreduced products, which `reduce_mod` reduces into the
+  next without a temporary.
 - One fused M scan.  `_m_scan` returns M together with the tally of
   z = 0 points, which the locus count of the bookkeeping claim reads
   instead of scanning again.
@@ -34,7 +36,7 @@ path.
 import numpy as np
 
 from .errors import WrongResidueClass
-from .modarith import FieldContext
+from .modarith import FieldContext, reduce_mod
 from .patterns import jacobsthal
 from .records import VerificationRecord
 from . import curves
@@ -64,15 +66,16 @@ def _zero_flagged(root_counts: np.ndarray, base: int) -> np.ndarray:
 
 
 def _product_cell(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int,
-                  out: np.ndarray) -> np.ndarray:
-    """(a*b + 1) * c mod p into out, for a column a, a row b and c < 2p."""
-    np.multiply(a, b, out=out)
-    out += 1
+                  out: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(a*b + 1) * c mod p into out, for a column a, a row b and c < 2p;
+    raw, of out's shape, takes the unreduced products."""
+    np.multiply(a, b, out=raw)
+    raw += 1
     if p > _ONE_REDUCTION_MAX_P:
-        out %= p
-    out *= c
-    out %= p
-    return out
+        np.multiply(reduce_mod(raw, p, out=out), c, out=raw)
+    else:
+        raw *= c
+    return reduce_mod(raw, p, out=out)
 
 
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -84,15 +87,17 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
 def _row_sums(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
               table: np.ndarray, cell) -> np.ndarray:
     """sums[i] = sum_j weights[j] * table[cell(rows[i], cols[j])], in
-    blocks of about _TILE_CELLS cells; cell(a, b, out=...) gets a column of
-    rows and the row of cols and writes the block's table indices."""
+    blocks of about _TILE_CELLS cells; cell(a, b, out, raw) gets a column of
+    rows and the row of cols, writes the block's table indices into out and
+    may use raw as scratch."""
     step = max(1, _TILE_CELLS // len(cols))
     index_buf = np.empty((min(step, len(rows)), len(cols)), dtype=np.int64)
     value_buf = np.empty_like(index_buf)
     sums = np.empty(len(rows), dtype=np.int64)
     for i in range(0, len(rows), step):
         a = rows[i:i + step, None]
-        index = cell(a, cols, out=index_buf[:len(a)])
+        # the values are gathered only after the indices are done
+        index = cell(a, cols, index_buf[:len(a)], value_buf[:len(a)])
         values = _gather(table, index, value_buf[:len(a)])
         np.matmul(values, weights, out=sums[i:i + step])
     return sums
@@ -108,7 +113,7 @@ def _m_scan(ctx: FieldContext) -> tuple[int, int]:
     table = _zero_flagged(ctx.root_counts, base)
     # no block has more than max(_TILE_CELLS, n) cells, nor more than n^2
     size = min(n * n, max(_TILE_CELLS, n))
-    sum_buf, index_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    sum_buf, index_buf, raw_buf = (np.empty(size, dtype=np.int64) for _ in range(3))
     sums = np.empty(n, dtype=np.int64)
     i = 0
     while i < n:
@@ -118,7 +123,8 @@ def _m_scan(ctx: FieldContext) -> tuple[int, int]:
         shape = (j - i, n - i)
         cells = shape[0] * shape[1]
         c = np.add(a, b, out=sum_buf[:cells].reshape(shape))
-        index = _product_cell(a, b, c, p, index_buf[:cells].reshape(shape))
+        index = _product_cell(a, b, c, p, index_buf[:cells].reshape(shape),
+                              raw_buf[:cells].reshape(shape))
         vals = _gather(table, index, c)  # c is spent; its buffer takes the values
         # (u, v) and (v, u) give the same cell: columns past the block
         # stand for both orders, the block's own square for itself
@@ -162,10 +168,11 @@ def count_S(ctx: FieldContext) -> int:
     rc = ctx.root_counts
     u, w = _classes(ctx.squares)
     s = np.arange(2 * p)  # u + v < 2p, so no reduction is needed
-    per_sum = rc[(1 - s) % p] * rc[s % p]
-    outer = rc[(1 - u) % p]  # choices of y24
+    per_sum = rc[reduce_mod(1 - s, p)] * rc[reduce_mod(s, p)]
+    outer = rc[reduce_mod(1 - u, p)]  # choices of y24
     keep = outer != 0
-    sums = _row_sums(u[keep], u, w, per_sum, np.add)
+    sums = _row_sums(u[keep], u, w, per_sum,
+                     lambda a, b, out, raw: np.add(a, b, out=out))
     return int(sums @ (w[keep] * outer[keep]))
 
 
@@ -197,12 +204,12 @@ def _locus_S_count(ctx: FieldContext) -> int:
     sq = ctx.squares
     rc = ctx.root_counts
     # y13 = y12 forces y23 = 0, leaving y12^2 + y34^2 = 1 with y24^2 = y34^2
-    t = (1 - sq) % p
+    t = reduce_mod(1 - sq, p)
     v = rc[t] ** 2
     v[t == 0] = 1
     l1 = int(v.sum())
     # y23 = y34 = w: y12^2 = 1 - 2w^2, y13^2 = 1 - w^2, y24^2 = 2w^2
-    l2 = int((rc[(1 - 2 * sq) % p] * rc[(1 - sq) % p] * rc[2 * sq % p]).sum())
+    l2 = int((rc[reduce_mod(1 - 2 * sq, p)] * rc[t] * rc[reduce_mod(2 * sq, p)]).sum())
     overlap = 2  # both conditions force (+-1, 0, 0, +-1, 0)
     return l1 + l2 - overlap
 
@@ -243,7 +250,7 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     base = 2 * p + 1
     table = _zero_flagged(rc, base)
     sums = _row_sums(t2, q[1:], q_weight[1:], table,
-                     lambda a, b, out: _product_cell(a, b, a + 1, p, out))
+                     lambda a, b, out, raw: _product_cell(a, b, a + 1, p, out, raw))
     zeros, roots = np.divmod(sums, base)
     # y1 = 0 happens exactly where the right side vanishes
     per_class = np.zeros(p, dtype=np.int64)
@@ -251,7 +258,7 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     fibers = per_class[sq]
     fibers[0] = 0
     # the x1 = 0 column: the right side is t^2 + 1
-    total = int((roots + q_weight[0] * rc[(t2 + 1) % p]) @ t_weight)
+    total = int((roots + q_weight[0] * rc[reduce_mod(t2 + 1, p)]) @ t_weight)
     boundary = total - int(fibers.sum())
     return total, boundary, fibers
 

@@ -1,10 +1,17 @@
 """Prime-field substrate: quadratic character tables, prime enumeration,
-and Gaussian-integer decompositions p = a^2 + b^2.
+exact array reduction mod p, and Gaussian-integer decompositions
+p = a^2 + b^2.
 
 Every counting kernel in the package works off a FieldContext, which holds
 the full Legendre-symbol table chi for one odd prime.  The table costs O(p)
 once and turns each square-root count into a single array lookup, which is
 what makes the O(p^2) surface kernels feasible.
+
+A loop over primes builds its contexts in one ContextArena, whose buffers
+are sized for the largest p so far and refilled from prime to prime
+instead of being allocated and faulted in afresh.  Building the next
+context makes the previous one stale: reading its tables raises
+StaleContext rather than returning the new prime's data.
 """
 
 import math
@@ -12,10 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOddPrime, WrongResidueClass
+from .errors import NotOddPrime, StaleContext, WrongResidueClass
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Below this bound 2, 7 and 61 suffice (Jaeschke, Math. Comp. 61, 1993);
+# the bound itself is the least strong pseudoprime to all three.
+_MR_SMALL_BOUND = 4_759_123_141
+_MR_SMALL_WITNESSES = (2, 7, 61)
 
 
 def is_prime(n: int) -> bool:
@@ -29,7 +40,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_BOUND else _MR_WITNESSES
+    for a in witnesses:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -53,6 +67,51 @@ class GaussianInteger:
         return self.a * self.a + self.b * self.b
 
 
+def reduce_mod(a: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a mod p elementwise, computed as a - (a // p) * p.
+
+    Equal to `a % p` for every int64 entry a >= -2^63 + p.  numpy divides
+    an int64 array by a scalar through a precomputed reciprocal
+    (Granlund-Montgomery, PLDI 1994), while `%` takes a hardware division
+    per element, so this is the faster exact reduction.
+
+    With `out` distinct from `a` the quotient is formed in `out` and no
+    temporary is allocated; with out=None one result array is; when `out`
+    overlaps `a` one quotient temporary is.
+    """
+    if out is not None and np.may_share_memory(a, out):
+        q = np.floor_divide(a, p)
+    else:
+        q = np.floor_divide(a, p, out=out)
+    q *= p
+    return np.subtract(a, q, out=q if out is None else out)
+
+
+class ContextArena:
+    """Reusable buffers for the tables of one prime at a time.
+
+    `capacity` is the largest p the buffers hold; build_context grows them
+    to exactly p when a larger prime arrives.  `generation` counts the
+    contexts built here: a context is current while it matches.
+    """
+
+    def __init__(self, capacity: int = 0):
+        self.generation = 0
+        self._allocate(capacity)
+
+    def reserve(self, p: int) -> None:
+        """Make room for the tables of p."""
+        if p > self.capacity:
+            self._allocate(p)
+
+    def _allocate(self, p: int) -> None:
+        self.capacity = p
+        self.index = np.arange(p, dtype=np.int64)
+        self.squares = np.empty(p, dtype=np.int64)
+        self.root_counts = np.empty(p, dtype=np.int64)
+        self.chi = np.empty(p, dtype=np.int8)
+
+
 class FieldContext:
     """Immutable arithmetic context for one odd prime p.
 
@@ -63,17 +122,35 @@ class FieldContext:
         delta: the smallest quadratic non-residue in 1..p-1.
         root_counts: int64 array, root_counts[t] = #{y : y^2 = t mod p}.
         squares: int64 array, squares[i] = i^2 mod p.
+
+    A context built in a ContextArena reads its three tables from the
+    arena's buffers; once the arena builds another context, reading any of
+    them raises StaleContext.
     """
 
-    __slots__ = ("p", "k", "chi", "delta", "root_counts", "squares")
+    __slots__ = ("p", "k", "delta", "_chi", "_root_counts", "_squares",
+                 "_arena", "_generation")
 
-    def __init__(self, p, k, chi, delta, root_counts, squares):
+    def __init__(self, p, k, chi, delta, root_counts, squares, arena=None):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "root_counts", root_counts)
-        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "_chi", chi)
+        object.__setattr__(self, "_root_counts", root_counts)
+        object.__setattr__(self, "_squares", squares)
+        object.__setattr__(self, "_arena", arena)
+        object.__setattr__(self, "_generation",
+                           None if arena is None else arena.generation)
+
+    def _current(self, table: np.ndarray) -> np.ndarray:
+        if self._arena is not None and self._arena.generation != self._generation:
+            raise StaleContext(f"tables of the context for p={self.p} were read "
+                               f"after its arena built another context")
+        return table
+
+    chi = property(lambda self: self._current(self._chi))
+    root_counts = property(lambda self: self._current(self._root_counts))
+    squares = property(lambda self: self._current(self._squares))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldContext is immutable")
@@ -82,32 +159,46 @@ class FieldContext:
         return f"FieldContext(p={self.p})"
 
 
-def build_context(p: int, counting_oracle: bool = False) -> FieldContext:
+def build_context(p: int, counting_oracle: bool = False,
+                  arena: ContextArena | None = None) -> FieldContext:
     """Build the FieldContext for an odd prime p.
 
     With counting_oracle=True the root-count table is rebuilt by tallying
     y^2 over all y instead of being derived from chi, giving an independent
     path through every counting kernel.
 
+    With an arena the tables are written into its buffers, and every
+    context built there before goes stale; without one they are fresh
+    arrays.
+
     Raises NotOddPrime for anything that is not an odd prime.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
-    idx = np.arange(p, dtype=np.int64)
-    squares = idx * idx % p
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[squares] = 1
+    if arena is None:
+        arena = ContextArena(p)
+        owner = None
+    else:
+        arena.reserve(p)
+        arena.generation += 1
+        owner = arena
+    idx = arena.index[:p]
+    squares, root_counts, chi = (arena.squares[:p], arena.root_counts[:p],
+                                 arena.chi[:p])
+    np.multiply(idx, idx, out=root_counts)  # i^2 < p^2, reduced into squares
+    reduce_mod(root_counts, p, out=squares)
+    chi.fill(-1)
+    chi[squares[1:(p + 1) // 2]] = 1  # the (p-1)/2 nonzero squares, once each
     chi[0] = 0
     delta = int(np.argmax(chi == -1))
     if counting_oracle:
-        root_counts = np.bincount(squares, minlength=p).astype(np.int64)
+        root_counts[:] = np.bincount(squares, minlength=p)
     else:
-        root_counts = (1 + chi).astype(np.int64)
-    chi.flags.writeable = False
-    squares.flags.writeable = False
-    root_counts.flags.writeable = False
+        np.add(chi, 1, out=root_counts)
+    for table in (chi, root_counts, squares):
+        table.flags.writeable = False  # the views; the arena's buffers stay writable
     k = (p - 1) // 4 if p % 4 == 1 else None
-    return FieldContext(p, k, chi, delta, root_counts, squares)
+    return FieldContext(p, k, chi, delta, root_counts, squares, owner)
 
 
 def legendre(ctx: FieldContext, a: int) -> int:

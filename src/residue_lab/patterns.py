@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .errors import PatternTooLong, WrongResidueClass
-from .modarith import FieldContext
+from .modarith import FieldContext, reduce_mod
 
 # A census of length ell keeps 2^ell bins; refusing more than this many per
 # unit of p keeps them O(p).  It admits every ell <= p - 1 for p <= 7.
@@ -142,8 +142,9 @@ def jacobsthal(ctx: FieldContext) -> int:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
     p = ctx.p
     a = np.arange(p, dtype=np.int64)
-    f = a * ((a + 1) % p) % p * ((a + 2) % p) % p
-    return int(ctx.chi[f].sum())
+    f = reduce_mod(a * (a + 1), p)  # a + 1 <= p: each product stays below p^2 + p
+    f *= a + 2
+    return int(ctx.chi[reduce_mod(f, p, out=a)].sum())  # a is spent
 
 
 def char_sum(ctx: FieldContext, I) -> int:
@@ -153,7 +154,7 @@ def char_sum(ctx: FieldContext, I) -> int:
     a = np.arange(p, dtype=np.int64)
     f = np.ones(p, dtype=np.int64)
     for i in offsets:
-        f = f * ((a + i) % p) % p
+        f = reduce_mod(f * reduce_mod(a + i, p), p)
     return int(ctx.chi[f].sum())
 
 
@@ -162,21 +163,22 @@ def _subset_char_sums(ctx: FieldContext, ell: int) -> np.ndarray:
     indexed by the bitmask of I (offset j is bit ell-1-j); T(empty) = p.
 
     Depth-first over the offsets: each product extends its parent's by one
-    factor into the buffer of its depth, so at most ell length-p arrays are
-    live.
+    factor into the buffer of its depth, through one shared buffer for the
+    unreduced product, so at most ell + 1 length-p arrays are live.
     """
     p = ctx.p
-    shifted = np.arange(p + ell - 1, dtype=np.int64) % p  # a + j = shifted[j:j+p]
+    # a + j = shifted[j:j+p]
+    shifted = reduce_mod(np.arange(p + ell - 1, dtype=np.int64), p)
     buffers = np.empty((ell - 1, p), dtype=np.int64)
+    unreduced = np.empty(p, dtype=np.int64)
     sums = np.zeros(1 << ell, dtype=np.int64)
     sums[0] = p
 
     def extend(prod: np.ndarray, mask: int, start: int, depth: int) -> None:
         sums[mask] = int(ctx.chi[prod].sum())
         for j in range(start, ell):
-            child = buffers[depth]
-            np.multiply(prod, shifted[j:j + p], out=child)
-            child %= p
+            np.multiply(prod, shifted[j:j + p], out=unreduced)
+            child = reduce_mod(unreduced, p, out=buffers[depth])
             extend(child, mask | 1 << (ell - 1 - j), j + 1, depth + 1)
 
     for j in range(ell):
@@ -245,7 +247,7 @@ def pattern_curve_count(ctx: FieldContext, ell: int) -> int:
     sq = ctx.squares[1:]  # x_1 runs over 1..p-1
     total = np.ones(p - 1, dtype=np.int64)
     for j in range(1, ell):
-        total *= nz_roots[(sq + j) % p]
+        total *= nz_roots[reduce_mod(sq + j, p)]
     return int(total.sum())
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySample, OutOfDomain, SingularCurve, UnknownCurve
-from .modarith import build_context, primes_in
+from .modarith import ContextArena, build_context, primes_in
 from .patterns import count_pattern
 from . import curves
 
@@ -69,15 +69,17 @@ def collect_traces(curve: str, bound: int,
 
     Primes below 5 stay out of every collection (the quartic models lose
     good reduction there); bad-reduction primes inside the range are
-    recorded in `skipped`.
+    recorded in `skipped`.  The contexts are built in one arena.
     """
     if curve not in _REGISTRY:
         raise UnknownCurve(f"unknown curve {curve!r}; known: {curve_ids()}")
     if bound < 5:
         raise ValueError("need bound >= 5")
     coll = TraceCollection(curve)
-    for p in primes_in(5, bound, residue_filter):
-        ctx = build_context(p)
+    primes = primes_in(5, bound, residue_filter)
+    arena = ContextArena(max(primes, default=0))
+    for p in primes:
+        ctx = build_context(p, arena=arena)
         try:
             trace = trace_of(ctx, curve)
         except SingularCurve:

@@ -73,6 +73,37 @@ def poly_eval_horner(p, coeffs):
     return out
 
 
+def poly_gcd_degree(f, g, p):
+    """Degree of gcd(f, g) over F_p (coeff lists ascending, may be empty)."""
+    def trim(h):
+        while h and h[-1] % p == 0:
+            h.pop()
+        return h
+
+    f, g = trim([c % p for c in f]), trim([c % p for c in g])
+    while g:
+        inv = pow(g[-1], p - 2, p)
+        while len(f) >= len(g):
+            factor = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[i + shift] = (f[i + shift] - factor * c) % p
+            f = trim(f)
+            if not f:
+                break
+        f, g = g, f
+    return len(f) - 1
+
+
+def is_squarefree_mod(coeffs, p):
+    """Whether f is squarefree over F_p: gcd(f, f') is a constant."""
+    f = [c % p for c in coeffs]
+    if not any(f):
+        return False
+    deriv = [i * c % p for i, c in enumerate(coeffs)][1:]
+    return poly_gcd_degree(f, deriv, p) <= 0
+
+
 def affine_count(p, coeffs, twist=1):
     total = 0
     for x in range(p):

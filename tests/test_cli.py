@@ -182,6 +182,48 @@ def test_invariant_violation_exits_3(monkeypatch, capsys, jobs):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stale_context_read_exits_3(monkeypatch, capsys, jobs):
+    # a kernel that keeps a context past its prime would read overwritten
+    # tables; at --max-p 500 every --jobs 2 task holds several primes
+    kept = []
+
+    def caching(ctx):
+        kept.append(ctx)
+        return k3.count_S.__wrapped__(kept[0])
+
+    caching.__wrapped__ = k3.count_S
+    monkeypatch.setattr(k3, "count_S", caching)
+    code = cli.main(["verify", "formula2", "--max-p", "500", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: tables of the context for p=5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("claim, code, digest", [
+    ("bookkeeping", 0, "d5ba871863851ce5432fcefc33a2426ba33163b6fbddc05472b7479c9bba42e8"),
+    ("charsum_consistency", 0, "59addee79ff90c68a06f165be315e5e1bc47e79910e49f1e234f5585b3cc8858"),
+    ("cm_traces", 0, "1d6606bf0509f0c1f5e79e8282672fe45f1753fc020bdc33d7fd48d72916ca6b"),
+    ("fibration", 0, "3dfed76204b0b2a97e92fa6212041b4e6631935dd686e52dcd904b3b181bc0a3"),
+    ("formula2", 0, "609d578697678c94eeec47dbde91e7e126dec551f0467269498adf3643eed7a9"),
+    ("gauss_edwards", 0, "19569f68b2026e04a0364d09c1294e234146c5705f3d52389e163380987d1b88"),
+    ("genus2", 0, "d0184af9f1ff353d51f4c8d63bab534c9fda1de4ff22e85a9cb8554e46739439"),
+    ("goncharova1", 0, "7d69358e3fe0ef58ef68d2a0a5b7fd9a795941dd40abd98a5ada116becc79529"),
+    ("identity5", 0, "7ff8fae8d2652d420fc70a7476cf7b1b6c61714c21a8d3af01e71922f4d0bebc"),
+    ("j_relations", 0, "7178b90c4bcf912f8390ab9890227fbab96b9e3ecb4368a441f45e2d8e0d90e3"),
+    ("tables", 1, "30b76cfc6d274a0c757415304ff8354e2239e41600b15206096e4b376389ac53"),
+    ("weil_bound", 0, "b32a0742f38a3040215e5172516163d032b333667ad2aec3f36236d55621431a"),
+])
+def test_verify_every_claim_frozen_bytes(capsys, claim, code, digest):
+    # sha256 of each claim's records at p <= 300 as written by fresh
+    # contexts and `%` reductions; jobs and --oracle must not change them
+    for extra in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "1", "--oracle"]):
+        assert cli.main(["verify", claim, "--max-p", "300", *extra]) == code, extra
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
 def test_verify_unknown_claim_exits_2():
     assert run_cli("verify", "nonsense", "--max-p", "100").returncode == 2
 

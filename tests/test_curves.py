@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab import (
@@ -25,8 +26,11 @@ from residue_lab.curves import (
     NAMED_CURVES,
     WEIERSTRASS_CM,
     expected_quartic_table,
+    is_squarefree_mod,
     quartic_interior_count,
 )
+
+_PRIMES_BELOW_2000 = primes_in(3, 1999)
 
 
 def test_affine_count_cm_cubic():
@@ -62,6 +66,40 @@ def test_singular_curve_detection():
     # x(x+1)(x+2) = x^3 - x mod 3 is squarefree (roots 0, 1, 2), so the
     # shifted CM cubic still reduces well at 3 and is supersingular there.
     assert weierstrass_trace(build_context(3), NAMED_CURVES["a"]) == 0
+
+
+def test_discriminant_values():
+    assert HyperellipticSpec((-6, 1, 1)).discriminant == 25           # x^2 + x - 6
+    assert WEIERSTRASS_CM.discriminant == 4                           # -4a^3 - 27b^2
+    assert HyperellipticSpec((1, 1, 0, 1)).discriminant == -31
+    assert NAMED_CURVES["e"].discriminant == (1 * 2 * 3 * 1 * 2 * 1) ** 2
+    assert GENUS2_QUINTIC.discriminant == (1 * 2 * 6 * 24) ** 2       # prod of (j-i)^2
+    assert HyperellipticSpec((0, 0, 1, 1)).discriminant == 0          # x^2 (x + 1)
+    assert HyperellipticSpec((5, 2)).discriminant == 1
+
+
+def _agrees_with_gcd_oracle(coeffs):
+    spec = HyperellipticSpec(tuple(coeffs))
+    for p in _PRIMES_BELOW_2000:
+        if coeffs[-1] % p == 0:
+            with pytest.raises(ValueError):
+                is_squarefree_mod(spec, p)
+            continue
+        assert is_squarefree_mod(spec, p) == brute.is_squarefree_mod(coeffs, p), (coeffs, p)
+
+
+def test_squarefree_criterion_on_registry_curves():
+    for spec in [WEIERSTRASS_CM, GENUS2_QUINTIC, *NAMED_CURVES.values()]:
+        _agrees_with_gcd_oracle(list(spec.coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.integers(3, 5).flatmap(lambda n: st.lists(
+    st.integers(-30, 30), min_size=n + 1, max_size=n + 1).filter(lambda c: c[-1] != 0)))
+def test_squarefree_criterion_on_random_polynomials(coeffs):
+    # the discriminant criterion against the gcd(f, f') oracle at every
+    # prime below 2000, 3 and 5 included
+    _agrees_with_gcd_oracle(coeffs)
 
 
 def test_named_curve_traces_frozen():
@@ -180,6 +218,16 @@ def test_genus2_involution():
         assert rec.passed, p
     with pytest.raises(WrongResidueClass):
         genus2_involution_check(build_context(7))
+
+
+def test_genus2_involution_checks_every_point_above_old_prefix():
+    # p = 50021 = 1 mod 4 has more than 50,000 points; all are checked
+    p = 50021
+    rec = genus2_involution_check(build_context(p))
+    f = brute.poly_eval_horner(p, GENUS2_QUINTIC.coeffs)
+    on_curve_x = sum(1 for v in f if brute.legendre(v, p) >= 0)
+    assert rec.passed
+    assert rec.detail["points_checked"] == 2 * on_curve_x > 50000
 
 
 def test_genus2_spot_point():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brute
+from residue_lab.errors import StaleContext
+from residue_lab.modarith import ContextArena, reduce_mod
 from residue_lab import (
     NotOddPrime,
     WrongResidueClass,
@@ -40,8 +43,100 @@ def test_is_prime_agrees_with_trial_division():
 
     for n in range(2000):
         assert is_prime(n) == trial(n), n
+    sieved = set(primes_in(2, 200_000))
+    for n in range(200_000):
+        assert is_prime(n) == (n in sieved), n
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 31)
+
+
+@pytest.mark.parametrize("n", [
+    2047,                   # strong pseudoprime to base 2
+    3215031751,             # to bases 2, 3, 5 and 7
+    4759123141,             # to bases 2, 7 and 61: the three-witness bound
+    3825123056546413051,    # to bases 2 through 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_at_the_witnesses_and_below_the_bound():
+    # a witness that is n itself is skipped; 4759123129 is the last prime
+    # the three witnesses decide
+    assert all(is_prime(q) for q in (2, 7, 61, 4759123129))
+
+
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("p", [3, 5, 29989, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_reduce_mod_equals_remainder(p):
+    rng = np.random.default_rng(p)
+    a = np.concatenate([
+        rng.integers(-min(10 * p, 2 ** 62), min(10 * p, 2 ** 62), 5000),
+        rng.integers(_INT64_MIN + p, _INT64_MAX, 5000, endpoint=True),
+        np.arange(-3 * p, 3 * p + 1) if p < 100 else np.arange(-3, 4) * p,
+        [_INT64_MAX, _INT64_MAX - 1, _INT64_MIN + p, _INT64_MIN + p + 1, 0, -1, 1],
+    ]).astype(np.int64)
+    want = a % p
+    assert (reduce_mod(a, p) == want).all()
+    out = np.empty_like(a)
+    assert reduce_mod(a, p, out=out) is out and (out == want).all()
+    in_place = a.copy()
+    assert reduce_mod(in_place, p, out=in_place) is in_place
+    assert (in_place == want).all()
+    tile = a[:4096].reshape(64, 64)  # a view, reduced into itself
+    reduce_mod(tile, p, out=tile)
+    assert (a[:4096] == want[:4096]).all()
+
+
+_SEQUENCE_PRIMES = primes_in(3, 400) + [1009, 2003]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=st.lists(st.sampled_from(_SEQUENCE_PRIMES), min_size=1, max_size=12),
+       order=st.sampled_from(["drawn", "ascending", "descending", "repeated"]),
+       oracle=st.booleans())
+def test_arena_contexts_equal_fresh_contexts(seq, order, oracle):
+    if order == "ascending":
+        seq = sorted(seq)
+    elif order == "descending":
+        seq = sorted(seq, reverse=True)
+    elif order == "repeated":
+        seq = [q for q in seq for _ in range(2)]
+    arena = ContextArena()
+    for i, p in enumerate(seq):
+        got = build_context(p, counting_oracle=oracle, arena=arena)
+        want = build_context(p, counting_oracle=oracle)
+        for name in ("chi", "root_counts", "squares"):
+            table, fresh = getattr(got, name), getattr(want, name)
+            assert table.dtype == fresh.dtype and table.tolist() == fresh.tolist(), (p, name)
+        assert (got.p, got.k, got.delta) == (want.p, want.k, want.delta)
+        assert arena.capacity == max(seq[:i + 1])
+
+
+def test_fresh_context_matches_euler_criterion():
+    for p in primes_in(3, 300):
+        for oracle in (False, True):
+            ctx = build_context(p, counting_oracle=oracle)
+            assert ctx.chi.tolist() == [brute.legendre(a, p) for a in range(p)]
+            assert ctx.squares.tolist() == [a * a % p for a in range(p)]
+
+
+def test_stale_context_raises():
+    arena = ContextArena()
+    old = build_context(101, arena=arena)
+    assert int(old.chi.sum()) == 0
+    new = build_context(13, arena=arena)
+    for name in ("chi", "root_counts", "squares"):
+        with pytest.raises(StaleContext):
+            getattr(old, name)
+        getattr(new, name)  # the current context stays readable
+    assert (old.p, old.k, old.delta) == (101, 25, 2)  # scalars are not tables
+    assert isinstance(StaleContext("x"), ArithmeticError)  # the CLI's exit 3
+    fresh = build_context(17)
+    build_context(19)
+    assert int(fresh.chi.sum()) == 0  # a context outside any arena never goes stale
 
 
 def test_chi_table_invariants():
