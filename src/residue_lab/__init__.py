@@ -76,7 +76,6 @@ from .stats import (
     TraceSample,
     collect_traces,
     ks_distance,
-    residual_histogram,
     semicircle_cdf,
     st_report,
 )

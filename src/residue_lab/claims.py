@@ -13,7 +13,8 @@ from typing import Callable
 
 from .modarith import (ContextArena, FieldContext, build_context, cm_decompose,
                        primes_in)
-from .patterns import _weil_law, pattern_census, pattern_counts_charsum
+from .patterns import (_weil_law, _weil_limit, pattern_census,
+                       pattern_counts_charsum)
 from .quadgraphs import GraphClass, count_graph_classes, goncharova_K4
 from .records import VerificationRecord
 from . import curves, k3
@@ -74,19 +75,18 @@ def _run_charsum_consistency(ctx: FieldContext) -> VerificationRecord:
 
 
 def _run_weil_bound(ctx: FieldContext) -> VerificationRecord:
-    violations = []
-    worst = None
-    for s, n in pattern_census(ctx, 4).items():
-        dev, bound, ok = _weil_law(ctx.p, n)
-        if worst is None or abs(dev) > abs(worst[1]):
-            worst = (s, dev, bound)
-        if not ok:
-            violations.append(s)
+    p = ctx.p
+    census = pattern_census(ctx, 4)
+    d16 = {s: abs(16 * n - (p - 1)) for s, n in census.items()}
+    limit = _weil_limit(p)
+    violations = [s for s, d in d16.items() if d > limit]
+    worst = max(d16, key=d16.get)  # the first of equal maxima in census order
+    dev, bound, _ = _weil_law(p, census[worst])
     return VerificationRecord(
-        ctx.p, "weil_bound", {"violations": 0},
+        p, "weil_bound", {"violations": 0},
         {"violations": len(violations)}, not violations,
-        detail={"worst_pattern": worst[0], "worst_deviation": str(worst[1]),
-                "bound": worst[2]})
+        detail={"worst_pattern": worst, "worst_deviation": str(dev),
+                "bound": bound})
 
 
 def _run_cm_traces(ctx: FieldContext) -> VerificationRecord:

@@ -41,6 +41,13 @@ def _default_jobs() -> int:
         return 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="residue-lab",
@@ -63,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("claim", choices=sorted(CLAIMS))
     v.add_argument("--min-p", type=int, default=3)
     v.add_argument("--max-p", type=int, required=True)
-    v.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: RESIDUE_LAB_JOBS or 1)")
+    v.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default: RESIDUE_LAB_JOBS or 1); "
+                        "no more start than there are tasks or CPUs")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     v.add_argument("--out", help="write records here instead of stdout")
     v.add_argument("--filter", choices=sorted(_FILTERS), default="none",
@@ -158,11 +166,14 @@ def _cmd_verify(args) -> int:
         command=" ".join(args.argv),
         claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=jobs,
         started=datetime.now(timezone.utc).isoformat())
-    if jobs > 1 and len(primes) > 1:
-        chunk = max(1, len(primes) // (8 * jobs))
+    # the pool forks all of its workers at the first submit, so it gets no
+    # more than can be used; the manifest keeps the requested count
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(primes) > 1:
+        chunk = max(1, len(primes) // (8 * workers))
         tasks = [(args.claim, primes[i:i + chunk], args.oracle)
                  for i in range(0, len(primes), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
     else:
         records = _verify_worker((args.claim, primes, args.oracle))

@@ -9,7 +9,6 @@ read off its integer discriminant, computed once per model.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,26 +117,32 @@ class CountRecord:
 
 
 def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
-    """f(x) mod p for all x in 0..p-1, Horner.
+    """f(x) mod p for all x in 0..p-1, Horner, for f of degree >= 1.
 
-    Reduces mod p only when the next multiply-add could pass the int64
-    range, judged by an exact bound on the unreduced values, and once at
-    the end.
+    The first step lead*x + c starts from the context's index.  Reduces mod
+    p only when the next multiply-add could pass the int64 range, judged by
+    an exact bound on the unreduced values, and once at the end.
     """
     p = ctx.p
-    x = np.arange(p, dtype=np.int64)
-    vals = np.full(p, coeffs[-1] % p, dtype=np.int64)
+    x = ctx.index
+    lead, c, *rest = [a % p for a in reversed(coeffs)]
+    # lead*x + c < p^2 fits in int64 for every p whose tables fit in memory
+    if lead == 1:
+        vals = x + c
+    else:
+        vals = x * lead
+        vals += c
+    bound = lead * (p - 1) + c  # vals stay in [0, bound]
     spare = None  # each reduction writes into the other buffer
-    bound = coeffs[-1] % p  # vals stay in [0, bound]
-    for c in reversed(coeffs[:-1]):
-        c %= p
+    for c in rest:
         if bound * (p - 1) + c > _INT64_MAX:
             vals, spare = reduce_mod(vals, p, out=spare), vals
             bound = p - 1
         np.multiply(vals, x, out=vals)
-        vals += c
+        if c:
+            vals += c
         bound = bound * (p - 1) + c
-    return reduce_mod(vals, p, out=x)  # x is spent
+    return reduce_mod(vals, p, out=spare)
 
 
 def is_squarefree_mod(spec: HyperellipticSpec, p: int) -> bool:
@@ -215,21 +220,32 @@ def quartic_spec(ctx: FieldContext, variant: int) -> HyperellipticSpec:
     return HyperellipticSpec((1, 0, 0, 0, c), twist=tw)
 
 
-def _quartic_row(ctx: FieldContext, variant: int, s4: np.ndarray) -> CountRecord:
-    """quartic_row, given s4[s] = s^4 mod p."""
-    p = ctx.p
+def _quartic_values(p: int, s4: np.ndarray, c: int) -> tuple[np.ndarray, int]:
+    """f[s] = c*s^4 + 1 mod p given s4[s] = s^4 mod p, and the number of
+    zeros of f."""
     if p < 5:
         raise SingularCurve(f"p={p}: quartic degenerates")
+    if c == 1:
+        raw = s4 + 1
+    else:
+        raw = s4 * c
+        raw += 1
+    f = reduce_mod(raw, p)
+    return f, p - int(np.count_nonzero(f))
+
+
+def _quartic_row(ctx: FieldContext, variant: int, f: np.ndarray,
+                 f_zeros: int) -> CountRecord:
+    """quartic_row, given f and its zero count from _quartic_values for
+    the variant's c."""
+    p = ctx.p
     spec = quartic_spec(ctx, variant)
     c = spec.coeffs[-1]
-    tw = spec.twist % p
-    tw_inv = pow(tw, p - 2, p)
-    raw = s4 * c
-    raw += 1
-    f = reduce_mod(raw, p)
-    zero_locus = int((f == 0).sum()) + int(ctx.root_counts[tw_inv])
-    np.multiply(f, tw_inv, out=raw)
-    affine = int(ctx.root_counts[reduce_mod(raw, p, out=f)].sum())
+    tw_inv = pow(spec.twist % p, p - 2, p)
+    zero_locus = f_zeros + int(ctx.root_counts[tw_inv])
+    if tw_inv != 1:
+        f = reduce_mod(f * tw_inv, p)
+    affine = int(ctx.root_counts[f].sum())
     infinity = 2 if ctx.chi[c * tw_inv % p] == 1 else 0
     trace = p + 1 - (affine + infinity)
     return CountRecord(p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
@@ -238,13 +254,22 @@ def _quartic_row(ctx: FieldContext, variant: int, s4: np.ndarray) -> CountRecord
 
 def quartic_row(ctx: FieldContext, variant: int) -> CountRecord:
     """Full count record for one quartic twist variant."""
-    return _quartic_row(ctx, variant, ctx.squares[ctx.squares])
+    c = quartic_spec(ctx, variant).coeffs[-1]
+    f, f_zeros = _quartic_values(ctx.p, ctx.squares[ctx.squares], c)
+    return _quartic_row(ctx, variant, f, f_zeros)
 
 
 def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
-    """The rows of all four variants, sharing one table of s^4."""
+    """The rows of all four variants, sharing one table of s^4.  Variants
+    1-2 share c = 1 and variants 3-4 share c = delta^2, so each quartic
+    c*s^4 + 1 is evaluated once."""
     s4 = ctx.squares[ctx.squares]
-    return [_quartic_row(ctx, v, s4) for v in (1, 2, 3, 4)]
+    rows = []
+    for pair in ((1, 2), (3, 4)):
+        c = quartic_spec(ctx, pair[0]).coeffs[-1]
+        f, f_zeros = _quartic_values(ctx.p, s4, c)
+        rows += [_quartic_row(ctx, v, f, f_zeros) for v in pair]
+    return rows
 
 
 def quartic_interior_count(rec: CountRecord) -> int:
@@ -321,7 +346,7 @@ def genus2_involution_check(ctx: FieldContext) -> VerificationRecord:
     i_unit = pow(ctx.delta, (p - 1) // 4, p)
     # one square root per residue class: later writes win, any root works
     some_root = np.zeros(p, dtype=np.int64)
-    some_root[ctx.squares] = np.arange(p, dtype=np.int64)
+    some_root[ctx.squares] = ctx.index
     xs = np.flatnonzero(ctx.root_counts[f] > 0)
     mismatches = 0
     for lo in range(0, xs.size, _GENUS2_CHUNK):
@@ -360,7 +385,3 @@ def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
 def fiber_pattern_counts(ctx: FieldContext) -> dict[str, int]:
     """Counts of t != 0 with t^2 + 1 != 0 per bucket of `fiber_buckets`."""
     return {key: int(mask.sum()) for key, mask in fiber_buckets(ctx).items()}
-
-
-def normalized_trace(p: int, trace: int) -> float:
-    return trace / (2.0 * math.sqrt(p))

@@ -28,6 +28,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_SMALL_BOUND = 4_759_123_141
 _MR_SMALL_WITNESSES = (2, 7, 61)
 
+# Entries of chi searched for the least non-residue before the whole table
+# is; the least non-residue of every p < 366791 is at most 31.
+_DELTA_PREFIX = 32
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for the 64-bit range."""
@@ -92,7 +96,8 @@ class ContextArena:
 
     `capacity` is the largest p the buffers hold; build_context grows them
     to exactly p when a larger prime arrives.  `generation` counts the
-    contexts built here: a context is current while it matches.
+    contexts built here: a context is current while it matches.  `index`
+    holds 0..capacity-1 and is read-only, so it is never stale.
     """
 
     def __init__(self, capacity: int = 0):
@@ -107,6 +112,7 @@ class ContextArena:
     def _allocate(self, p: int) -> None:
         self.capacity = p
         self.index = np.arange(p, dtype=np.int64)
+        self.index.flags.writeable = False
         self.squares = np.empty(p, dtype=np.int64)
         self.root_counts = np.empty(p, dtype=np.int64)
         self.chi = np.empty(p, dtype=np.int8)
@@ -122,19 +128,22 @@ class FieldContext:
         delta: the smallest quadratic non-residue in 1..p-1.
         root_counts: int64 array, root_counts[t] = #{y : y^2 = t mod p}.
         squares: int64 array, squares[i] = i^2 mod p.
+        index: read-only int64 array, index[i] = i for i in 0..p-1.
 
     A context built in a ContextArena reads its three tables from the
     arena's buffers; once the arena builds another context, reading any of
-    them raises StaleContext.
+    them raises StaleContext.  `index` never changes, so it never goes
+    stale.
     """
 
-    __slots__ = ("p", "k", "delta", "_chi", "_root_counts", "_squares",
+    __slots__ = ("p", "k", "delta", "index", "_chi", "_root_counts", "_squares",
                  "_arena", "_generation")
 
-    def __init__(self, p, k, chi, delta, root_counts, squares, arena=None):
+    def __init__(self, p, k, chi, delta, root_counts, squares, index, arena=None):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "_chi", chi)
         object.__setattr__(self, "_root_counts", root_counts)
         object.__setattr__(self, "_squares", squares)
@@ -185,12 +194,16 @@ def build_context(p: int, counting_oracle: bool = False,
     idx = arena.index[:p]
     squares, root_counts, chi = (arena.squares[:p], arena.root_counts[:p],
                                  arena.chi[:p])
-    np.multiply(idx, idx, out=root_counts)  # i^2 < p^2, reduced into squares
-    reduce_mod(root_counts, p, out=squares)
+    # i^2 = (p-i)^2: square the first half, then mirror it
+    half = (p + 1) // 2
+    np.multiply(idx[:half], idx[:half], out=root_counts[:half])  # i^2 < p^2
+    reduce_mod(root_counts[:half], p, out=squares[:half])
+    squares[half:] = squares[half - 1:0:-1]
     chi.fill(-1)
-    chi[squares[1:(p + 1) // 2]] = 1  # the (p-1)/2 nonzero squares, once each
+    chi[squares[1:half]] = 1  # the (p-1)/2 nonzero squares, once each
     chi[0] = 0
-    delta = int(np.argmax(chi == -1))
+    head = chi[:_DELTA_PREFIX].tolist()
+    delta = head.index(-1) if -1 in head else int(np.argmax(chi == -1))
     if counting_oracle:
         root_counts[:] = np.bincount(squares, minlength=p)
     else:
@@ -198,7 +211,7 @@ def build_context(p: int, counting_oracle: bool = False,
     for table in (chi, root_counts, squares):
         table.flags.writeable = False  # the views; the arena's buffers stay writable
     k = (p - 1) // 4 if p % 4 == 1 else None
-    return FieldContext(p, k, chi, delta, root_counts, squares, owner)
+    return FieldContext(p, k, chi, delta, root_counts, squares, idx, owner)
 
 
 def legendre(ctx: FieldContext, a: int) -> int:

@@ -141,10 +141,13 @@ def jacobsthal(ctx: FieldContext) -> int:
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
     p = ctx.p
-    a = np.arange(p, dtype=np.int64)
-    f = reduce_mod(a * (a + 1), p)  # a + 1 <= p: each product stays below p^2 + p
-    f *= a + 2
-    return int(ctx.chi[reduce_mod(f, p, out=a)].sum())  # a is spent
+    a = ctx.index
+    t = a + 1
+    t *= a  # a + 1 <= p: each product stays below p^2 + p
+    f = reduce_mod(t, p)
+    np.add(a, 2, out=t)
+    f *= t
+    return int(ctx.chi[reduce_mod(f, p, out=t)].sum())
 
 
 def char_sum(ctx: FieldContext, I) -> int:
@@ -251,6 +254,13 @@ def pattern_curve_count(ctx: FieldContext, ell: int) -> int:
     return int(total.sum())
 
 
+def _weil_limit(p: int) -> int:
+    """The largest integer |16n - (p-1)| within 11*sqrt(p) + 16, that is
+    16 + isqrt(121p): the bound on a length-4 pattern count n at p, scaled
+    by 16 and checked in integers."""
+    return 16 + math.isqrt(121 * p)
+
+
 def _weil_law(p: int, n: int) -> tuple[Fraction, float, bool]:
     """For a length-4 pattern count n at p: the deviation n - (p-1)/16 as an
     exact fraction, the bound (11*sqrt(p)+16)/16, and the exact check
@@ -258,8 +268,7 @@ def _weil_law(p: int, n: int) -> tuple[Fraction, float, bool]:
     d16 = 16 * n - (p - 1)
     deviation = Fraction(d16, 16)
     bound = (11.0 * math.sqrt(p) + 16.0) / 16.0
-    excess = abs(d16) - 16
-    return deviation, bound, excess <= 0 or excess * excess <= 121 * p
+    return deviation, bound, abs(d16) <= _weil_limit(p)
 
 
 def weil_deviation(ctx: FieldContext, S) -> tuple[Fraction, float]:

@@ -34,9 +34,6 @@ class VerificationRecord:
             obj["detail"] = self.detail
         return obj
 
-    def to_jsonl(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"), sort_keys=False)
-
 
 @dataclass
 class RunManifest:

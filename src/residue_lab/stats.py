@@ -4,8 +4,7 @@ For a fixed curve the traces a_p / (2 sqrt p) land in (-1, 1); the module
 collects them, compares the empirical CDF against the uniform law, the
 semicircle law (non-CM curves) and the arcsine law (CM curves at split
 primes, cos of a uniform angle) by Kolmogorov-Smirnov distance, and bins
-them into fixed 40-bin histograms.  It also exports the scaled remainder
-of the all-X length-4 pattern count around (p-1)/16.
+them into fixed 40-bin histograms.
 """
 
 import math
@@ -15,7 +14,6 @@ import numpy as np
 
 from .errors import EmptySample, OutOfDomain, SingularCurve, UnknownCurve
 from .modarith import ContextArena, build_context, primes_in
-from .patterns import count_pattern
 from . import curves
 
 HISTOGRAM_BINS = 40
@@ -63,6 +61,11 @@ def trace_of(ctx, curve: str) -> int:
     return curves.quartic_trace(ctx, spec)
 
 
+def normalized_trace(p: int, trace: int) -> float:
+    """a_p / (2 sqrt p), which the Hasse bound puts in (-1, 1)."""
+    return trace / (2.0 * math.sqrt(p))
+
+
 def collect_traces(curve: str, bound: int,
                    residue_filter: tuple[int, int] | None = None) -> TraceCollection:
     """Normalized traces at all good primes in [5, bound] passing the filter.
@@ -85,7 +88,7 @@ def collect_traces(curve: str, bound: int,
         except SingularCurve:
             coll.skipped.append(p)
             continue
-        coll.samples.append(TraceSample(p, curves.normalized_trace(p, trace)))
+        coll.samples.append(TraceSample(p, normalized_trace(p, trace)))
     return coll
 
 
@@ -141,25 +144,4 @@ def st_report(curve: str, bound: int,
         ks_semicircle=ks_distance(ts, "semicircle"),
         histogram=_histogram(ts),
         skipped=coll.skipped,
-    )
-
-
-def residual_histogram(bound: int) -> DistributionReport:
-    """Histogram of (n_p(XXXX) - (p-1)/16) / (2 sqrt p) over primes
-    17 <= p <= bound.  Exploratory output; nothing is asserted about the
-    limiting shape."""
-    if bound < 100:
-        raise ValueError("need bound >= 100")
-    xs = []
-    for p in primes_in(17, bound):
-        ctx = build_context(p)
-        n = count_pattern(ctx, "XXXX")
-        xs.append((n - (p - 1) / 16.0) / (2.0 * math.sqrt(p)))
-    return DistributionReport(
-        curve="xxxx-residual",
-        max_p=bound,
-        sample_count=len(xs),
-        ks_uniform=ks_distance(xs, "uniform"),
-        ks_semicircle=ks_distance(xs, "semicircle"),
-        histogram=_histogram(xs),
     )

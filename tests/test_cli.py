@@ -133,6 +133,61 @@ def test_verify_env_jobs_default():
     assert json.loads(res.stderr.splitlines()[0])["jobs"] == 2
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, env, cpus, max_p, workers", [
+    ("5000", None, 2, 20, 2),     # capped by the CPUs
+    ("5000", None, 64, 20, 7),    # capped by the tasks: 7 primes, one per task
+    (None, "5000", 64, 20, 7),    # the environment default is capped alike
+    ("3", None, 64, 300, 3),      # as requested
+    ("5000", None, 1, 300, None),  # one CPU: no pool at all
+])
+def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, jobs, env,
+                                                   cpus, max_p, workers):
+    SerialPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if env is not None:
+        monkeypatch.setenv("RESIDUE_LAB_JOBS", env)
+    argv = ["verify", "identity5", "--max-p", str(max_p)]
+    if jobs is not None:
+        argv += ["--jobs", jobs]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert SerialPool.sizes == ([] if workers is None else [workers])
+    assert json.loads(captured.err.splitlines()[0])["jobs"] == int(jobs or env)
+    serial = cli.main(["verify", "identity5", "--max-p", str(max_p), "--jobs", "1"])
+    assert serial == 0 and capsys.readouterr().out == captured.out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    SerialPool.sizes = []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "identity5", "--max-p", "30", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert SerialPool.sizes == []
+
+
 def test_verify_csv_format():
     res = run_cli("verify", "identity5", "--max-p", "7", "--format", "csv")
     assert res.returncode == 0

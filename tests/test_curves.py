@@ -158,6 +158,15 @@ def test_quartic_rows_supersingular_at_3_mod_4():
         assert [r.zero_locus_count for r in rows] == [2, 0, 2, 0], p
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+def test_quartic_rows_equal_separate_rows(oracle):
+    # quartic_rows evaluates each c*s^4 + 1 once for two twists;
+    # quartic_row evaluates its own
+    for p in primes_in(5, 1999):
+        ctx = build_context(p, counting_oracle=oracle)
+        assert quartic_rows(ctx) == [quartic_row(ctx, v) for v in (1, 2, 3, 4)], p
+
+
 def test_quartic_matches_brute_counts():
     for p in (13, 17, 29):
         ctx = build_context(p)
@@ -261,7 +270,14 @@ def test_fiber_pattern_counts():
     (65537, NAMED_CURVES["e"]),
     (100003, NAMED_CURVES["e"]),
     (100003, WEIERSTRASS_CM),  # a negative coefficient
+    # leading coefficients other than 1, which no registered curve has
+    (101, HyperellipticSpec((5, 3))),
+    (10007, HyperellipticSpec((7, 0, -2, 3))),
+    (100003, HyperellipticSpec((1, 2, 3, 4, 99991))),
+    (100003, HyperellipticSpec((0, 0, 0, 0, 0, -1))),
 ])
 def test_poly_eval_all_matches_per_step_horner(p, spec):
-    got = curves._poly_eval_all(build_context(p), spec.coeffs)
+    ctx = build_context(p)
+    got = curves._poly_eval_all(ctx, spec.coeffs)
     assert got.tolist() == brute.poly_eval_horner(p, spec.coeffs)
+    assert ctx.index.tolist() == list(range(p))

@@ -1,0 +1,95 @@
+"""Read-set audit: which FieldContext fields each kernel and closed form reads.
+
+A brute-force kernel counts points through `squares`, `root_counts` and
+the read-only `index`; the closed forms it is checked against read `chi`
+or `delta`.  A default context derives `root_counts` from `chi`, but an
+`--oracle` context builds it by tallying squares, so as long as the read
+sets stay apart the two sides of every identity run down independent
+paths.  Pinning the sets makes a kernel that starts reading `chi`, or a
+closed form that starts reading `root_counts`, fail here.
+"""
+
+import pytest
+
+from residue_lab import k3, quadgraphs
+from residue_lab.curves import WEIERSTRASS_CM, HyperellipticSpec, affine_count, edwards_affine
+from residue_lab.modarith import FieldContext, build_context, cm_decompose
+from residue_lab.patterns import (count_pattern, jacobsthal, pattern_census,
+                                  pattern_counts_charsum, pattern_curve_count)
+
+_FIELDS = ("chi", "root_counts", "squares", "index", "delta")
+
+
+class RecordingContext(FieldContext):
+    """A FieldContext that logs which of _FIELDS are read from it."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, ctx: FieldContext):
+        super().__init__(ctx.p, ctx.k, ctx.chi, ctx.delta, ctx.root_counts,
+                         ctx.squares, ctx.index)
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+_KERNEL_READS = {
+    "k3.count_Mp": (k3.count_Mp, {"squares", "root_counts"}),
+    "k3.count_S": (k3.count_S, {"squares", "root_counts"}),
+    "k3._xprime_scan": (k3._xprime_scan, {"squares", "root_counts"}),
+    "k3._locus_X_count": (k3._locus_X_count, {"squares", "root_counts"}),
+    "k3._locus_S_count": (k3._locus_S_count, {"squares", "root_counts"}),
+    "quadgraphs.count_graph_classes": (quadgraphs.count_graph_classes, {"root_counts"}),
+    "curves.affine_count": (lambda ctx: affine_count(ctx, WEIERSTRASS_CM),
+                            {"index", "root_counts"}),
+    "curves.affine_count twisted": (
+        lambda ctx: affine_count(ctx, HyperellipticSpec((0, -1, 0, 1), twist=3)),
+        {"index", "root_counts"}),
+    "curves.edwards_affine": (edwards_affine, {"squares", "root_counts"}),
+    "patterns.pattern_curve_count": (lambda ctx: pattern_curve_count(ctx, 3),
+                                     {"squares", "root_counts"}),
+}
+
+_CLOSED_FORM_READS = {
+    "patterns.pattern_census": (lambda ctx: pattern_census(ctx, 4), {"chi"}),
+    "patterns.count_pattern": (lambda ctx: count_pattern(ctx, "XYX"), {"chi"}),
+    "patterns.pattern_counts_charsum": (lambda ctx: pattern_counts_charsum(ctx, 4),
+                                        {"chi"}),
+    "patterns.jacobsthal": (jacobsthal, {"chi", "index"}),
+    "quadgraphs.goncharova_K4": (quadgraphs.goncharova_K4, {"chi", "index"}),
+    "modarith.cm_decompose": (cm_decompose, {"delta"}),
+}
+
+
+def _reads(fn, p: int, oracle: bool) -> set[str]:
+    ctx = RecordingContext(build_context(p, counting_oracle=oracle))
+    fn(ctx)
+    return ctx.reads
+
+
+@pytest.mark.parametrize("p", [13, 101])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_kernel_read_sets(p, oracle):
+    for name, (fn, want) in _KERNEL_READS.items():
+        got = _reads(fn, p, oracle)
+        assert "chi" not in got and "delta" not in got, (name, got)
+        assert got == want, name
+
+
+@pytest.mark.parametrize("p", [13, 101])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_closed_form_read_sets(p, oracle):
+    for name, (fn, want) in _CLOSED_FORM_READS.items():
+        got = _reads(fn, p, oracle)
+        assert "root_counts" not in got and "squares" not in got, (name, got)
+        assert got == want, name
+
+
+def test_recording_context_sees_every_field():
+    ctx = RecordingContext(build_context(13))
+    for name in _FIELDS:
+        getattr(ctx, name)
+    assert ctx.reads == set(_FIELDS)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab.errors import StaleContext
+from residue_lab import modarith
 from residue_lab.modarith import ContextArena, reduce_mod
 from residue_lab import (
     NotOddPrime,
@@ -108,7 +109,7 @@ def test_arena_contexts_equal_fresh_contexts(seq, order, oracle):
     for i, p in enumerate(seq):
         got = build_context(p, counting_oracle=oracle, arena=arena)
         want = build_context(p, counting_oracle=oracle)
-        for name in ("chi", "root_counts", "squares"):
+        for name in ("chi", "root_counts", "squares", "index"):
             table, fresh = getattr(got, name), getattr(want, name)
             assert table.dtype == fresh.dtype and table.tolist() == fresh.tolist(), (p, name)
         assert (got.p, got.k, got.delta) == (want.p, want.k, want.delta)
@@ -133,10 +134,39 @@ def test_stale_context_raises():
             getattr(old, name)
         getattr(new, name)  # the current context stays readable
     assert (old.p, old.k, old.delta) == (101, 25, 2)  # scalars are not tables
+    assert old.index.tolist() == list(range(101))  # never changes, never stale
     assert isinstance(StaleContext("x"), ArithmeticError)  # the CLI's exit 3
     fresh = build_context(17)
     build_context(19)
     assert int(fresh.chi.sum()) == 0  # a context outside any arena never goes stale
+
+
+def test_index_rejects_writes():
+    arena = ContextArena()
+    for ctx in (build_context(13, arena=arena), build_context(13)):
+        assert ctx.index.tolist() == list(range(13))
+        with pytest.raises(ValueError):
+            ctx.index[0] = 1
+        with pytest.raises(ValueError):
+            ctx.index += 1
+    with pytest.raises(ValueError):
+        arena.index[0] = 1
+    build_context(101, arena=arena)  # a larger prime reallocates the buffer
+    with pytest.raises(ValueError):
+        arena.index[0] = 1
+    assert arena.index.tolist() == list(range(101))
+
+
+@pytest.mark.parametrize("prefix", [1, 2])
+def test_delta_falls_back_to_the_whole_table(monkeypatch, prefix):
+    # chi[0] = 0 and chi[1] = 1, so a prefix of one or two entries never
+    # holds the least non-residue
+    monkeypatch.setattr(modarith, "_DELTA_PREFIX", prefix)
+    arena = ContextArena()
+    for p in primes_in(3, 2000) + [366791]:
+        least = next(d for d in range(2, p) if brute.legendre(d, p) == -1)
+        assert build_context(p).delta == least, p
+        assert build_context(p, counting_oracle=True, arena=arena).delta == least, p
 
 
 def test_chi_table_invariants():

@@ -26,6 +26,7 @@ from residue_lab import (
     weil_bound_ok,
     weil_deviation,
 )
+from residue_lab.patterns import _weil_limit
 
 
 def test_residue_word_frozen_values():
@@ -229,6 +230,14 @@ def test_weil_deviation_17():
         weil_deviation(ctx, "XXX")
     with pytest.raises(ValueError):
         weil_deviation(build_context(13), "XXXX")
+
+
+def test_weil_limit_is_the_largest_integer_within_the_bound():
+    # |16n - (p-1)| <= 11 sqrt(p) + 16 holds for d = 16n - (p-1) exactly
+    # when |d| <= _weil_limit(p); the claim counts violations by it
+    for p in primes_in(17, 3000):
+        limit = _weil_limit(p)
+        assert (limit - 16) ** 2 <= 121 * p < (limit - 15) ** 2, p
 
 
 def test_weil_bound_holds_on_sample_range():

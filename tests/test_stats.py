@@ -10,7 +10,6 @@ from residue_lab import (
     collect_traces,
     ks_distance,
     primes_in,
-    residual_histogram,
     semicircle_cdf,
     st_report,
 )
@@ -122,19 +121,6 @@ def test_cm_split_traces_follow_arcsine_law():
                      np.abs(arcsine - steps + 1.0 / n).max())
     assert ks_arcsine < 0.05
     assert ks_distance(xs, "uniform") > 0.08
-
-
-def test_residual_histogram():
-    rep = residual_histogram(1000)
-    primes = primes_in(17, 1000)
-    assert rep.sample_count == len(primes)
-    assert sum(c for _, _, c in rep.histogram) == len(primes)
-    # p = 17 has count 0, so it contributes the residual -1/(2 sqrt 17)
-    xi17 = -1 / (2 * math.sqrt(17))
-    bin17 = next(c for lo, hi, c in rep.histogram if lo <= xi17 < hi)
-    assert bin17 >= 1
-    with pytest.raises(ValueError):
-        residual_histogram(50)
 
 
 def test_residual_within_scaled_weil_bound():
