@@ -41,6 +41,14 @@ def _default_jobs() -> int:
         return 1
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -168,7 +176,7 @@ def _cmd_verify(args) -> int:
         started=datetime.now(timezone.utc).isoformat())
     # the pool forks all of its workers at the first submit, so it gets no
     # more than can be used; the manifest keeps the requested count
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, _usable_cpus())
     if workers > 1 and len(primes) > 1:
         chunk = max(1, len(primes) // (8 * workers))
         tasks = [(args.claim, primes[i:i + chunk], args.oracle)

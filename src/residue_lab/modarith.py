@@ -28,10 +28,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_SMALL_BOUND = 4_759_123_141
 _MR_SMALL_WITNESSES = (2, 7, 61)
 
-# Entries of chi searched for the least non-residue before the whole table
-# is; the least non-residue of every p < 366791 is at most 31.
-_DELTA_PREFIX = 32
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for the 64-bit range."""
@@ -202,8 +198,7 @@ def build_context(p: int, counting_oracle: bool = False,
     chi.fill(-1)
     chi[squares[1:half]] = 1  # the (p-1)/2 nonzero squares, once each
     chi[0] = 0
-    head = chi[:_DELTA_PREFIX].tolist()
-    delta = head.index(-1) if -1 in head else int(np.argmax(chi == -1))
+    delta = next(d for d in range(2, p) if chi[d] < 0)  # stops at the least one
     if counting_oracle:
         root_counts[:] = np.bincount(squares, minlength=p)
     else:

@@ -163,7 +163,7 @@ def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, jobs, en
                                                    cpus, max_p, workers):
     SerialPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     if env is not None:
         monkeypatch.setenv("RESIDUE_LAB_JOBS", env)
     argv = ["verify", "identity5", "--max-p", str(max_p)]
@@ -224,8 +224,25 @@ def test_verify_manifest_records_main_argv(capsys):
     assert manifest["command"] == " ".join(argv)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # `--jobs 2` must take the process-pool path on a one-CPU runner too
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+def test_usable_cpus_follows_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_invariant_violation_exits_3(monkeypatch, capsys, jobs):
+def test_invariant_violation_exits_3(monkeypatch, capsys, two_cpus, jobs):
     def broken(ctx):
         raise ArithmeticError(f"Hasse bound violated at p={ctx.p}")
 
@@ -238,7 +255,7 @@ def test_invariant_violation_exits_3(monkeypatch, capsys, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_stale_context_read_exits_3(monkeypatch, capsys, jobs):
+def test_stale_context_read_exits_3(monkeypatch, capsys, two_cpus, jobs):
     # a kernel that keeps a context past its prime would read overwritten
     # tables; at --max-p 500 every --jobs 2 task holds several primes
     kept = []
@@ -270,7 +287,7 @@ def test_stale_context_read_exits_3(monkeypatch, capsys, jobs):
     ("tables", 1, "30b76cfc6d274a0c757415304ff8354e2239e41600b15206096e4b376389ac53"),
     ("weil_bound", 0, "b32a0742f38a3040215e5172516163d032b333667ad2aec3f36236d55621431a"),
 ])
-def test_verify_every_claim_frozen_bytes(capsys, claim, code, digest):
+def test_verify_every_claim_frozen_bytes(capsys, two_cpus, claim, code, digest):
     # sha256 of each claim's records at p <= 300 as written by fresh
     # contexts and `%` reductions; jobs and --oracle must not change them
     for extra in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "1", "--oracle"]):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab.errors import StaleContext
-from residue_lab import modarith
 from residue_lab.modarith import ContextArena, reduce_mod
 from residue_lab import (
     NotOddPrime,
@@ -122,6 +121,7 @@ def test_fresh_context_matches_euler_criterion():
             ctx = build_context(p, counting_oracle=oracle)
             assert ctx.chi.tolist() == [brute.legendre(a, p) for a in range(p)]
             assert ctx.squares.tolist() == [a * a % p for a in range(p)]
+            assert ctx.delta == next(d for d in range(2, p) if brute.legendre(d, p) < 0)
 
 
 def test_stale_context_raises():
@@ -155,18 +155,6 @@ def test_index_rejects_writes():
     with pytest.raises(ValueError):
         arena.index[0] = 1
     assert arena.index.tolist() == list(range(101))
-
-
-@pytest.mark.parametrize("prefix", [1, 2])
-def test_delta_falls_back_to_the_whole_table(monkeypatch, prefix):
-    # chi[0] = 0 and chi[1] = 1, so a prefix of one or two entries never
-    # holds the least non-residue
-    monkeypatch.setattr(modarith, "_DELTA_PREFIX", prefix)
-    arena = ContextArena()
-    for p in primes_in(3, 2000) + [366791]:
-        least = next(d for d in range(2, p) if brute.legendre(d, p) == -1)
-        assert build_context(p).delta == least, p
-        assert build_context(p, counting_oracle=True, arena=arena).delta == least, p
 
 
 def test_chi_table_invariants():
