@@ -81,7 +81,7 @@ def _run_weil_bound(ctx: FieldContext) -> VerificationRecord:
     limit = _weil_limit(p)
     violations = [s for s, d in d16.items() if d > limit]
     worst = max(d16, key=d16.get)  # the first of equal maxima in census order
-    dev, bound, _ = _weil_law(p, census[worst])
+    dev, bound = _weil_law(p, census[worst])
     return VerificationRecord(
         p, "weil_bound", {"violations": 0},
         {"violations": len(violations)}, not violations,

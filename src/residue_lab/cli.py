@@ -2,9 +2,10 @@
 
 Subcommands: word, count, verify, satotate, cm, quartic-tables.
 Exit codes: 0 all passed, 1 some verification failed, 2 usage or domain
-error, 3 internal invariant violated (an ArithmeticError from a
-consistency check such as the Hasse bound or a divisibility test, or a
-read of a stale context: a defect in the library, not a failing claim).
+error (an unwritable --out among them), 3 internal invariant violated (an
+ArithmeticError from a consistency check such as the Hasse bound or a
+divisibility test, or a read of a stale context: a defect in the library,
+not a failing claim).
 Verification streams are JSONL (default) or CSV with fixed key order;
 records are emitted in ascending p regardless of --jobs, and nothing
 time-dependent is written to stdout, so outputs are byte-identical across
@@ -32,13 +33,6 @@ _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
 
 _COUNT_OBJECTS = ("pattern", "graph", "k3-M", "k3-N", "k3-S",
                   "k3-Xprime", "k3-Xprime0", "edwards", "jacobsthal")
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("RESIDUE_LAB_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _usable_cpus() -> int:
@@ -78,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("claim", choices=sorted(CLAIMS))
     v.add_argument("--min-p", type=int, default=3)
     v.add_argument("--max-p", type=int, required=True)
-    v.add_argument("--jobs", type=_positive_int, default=None,
+    # argparse converts a string default only when the option is absent,
+    # so RESIDUE_LAB_JOBS is validated exactly like --jobs
+    v.add_argument("--jobs", type=_positive_int,
+                   default=os.environ.get("RESIDUE_LAB_JOBS", "1"),
                    help="worker processes (default: RESIDUE_LAB_JOBS or 1); "
                         "no more start than there are tasks or CPUs")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -166,17 +163,16 @@ def _emit_records(records: list[dict], fmt: str, out_path: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     claim = CLAIMS[args.claim]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.min_p > args.max_p:
         raise ValueError(f"empty range [{args.min_p}, {args.max_p}]")
     primes = eligible_primes(claim, args.min_p, args.max_p, _FILTERS[args.filter])
     manifest = RunManifest(
         command=" ".join(args.argv),
-        claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=jobs,
+        claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=args.jobs,
         started=datetime.now(timezone.utc).isoformat())
     # the pool forks all of its workers at the first submit, so it gets no
     # more than can be used; the manifest keeps the requested count
-    workers = min(jobs, _usable_cpus())
+    workers = min(args.jobs, _usable_cpus())
     if workers > 1 and len(primes) > 1:
         chunk = max(1, len(primes) // (8 * workers))
         tasks = [(args.claim, primes[i:i + chunk], args.oracle)
@@ -210,8 +206,7 @@ def _cmd_satotate(args) -> int:
         "ks_uniform": report.ks_uniform,
         "ks_semicircle": report.ks_semicircle,
     }
-    print(json.dumps(obj, separators=(",", ":")))
-    if args.out:
+    if args.out:  # written first, so an unwritable path prints no report
         total = max(report.sample_count, 1)
         with open(args.out, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -219,6 +214,7 @@ def _cmd_satotate(args) -> int:
             for lo, hi, count in report.histogram:
                 writer.writerow([f"{lo:.6f}", f"{hi:.6f}", count,
                                  f"{count / (total * (hi - lo)):.8f}"])
+    print(json.dumps(obj, separators=(",", ":")))
     return 0
 
 
@@ -229,8 +225,7 @@ def _cmd_cm(args) -> int:
 
 def _cmd_quartic_tables(args) -> int:
     ctx = build_context(args.p)
-    for variant in (1, 2, 3, 4):
-        rec = curves.quartic_row(ctx, variant)
+    for variant, rec in enumerate(curves.quartic_rows(ctx), start=1):
         obj = {"p": rec.p, "variant": variant, "curve": rec.curve,
                "affine": rec.affine_count, "infinity": rec.infinity_count,
                "zero_locus": rec.zero_locus_count,
@@ -256,7 +251,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return _DISPATCH[args.command](args)
-    except (ResidueLabError, ValueError) as exc:
+    except (ResidueLabError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -167,31 +167,26 @@ def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
     return int(ctx.root_counts[vals].sum())
 
 
-def weierstrass_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
-    """Frobenius trace p + 1 - #projective for a cubic model (one point at
-    infinity).  Raises SingularCurve when f is not squarefree mod p."""
+def _infinity_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
+    """Rational points at infinity of the smooth model: one for a cubic; for
+    a quartic, two when lead/twist is a square mod p, none otherwise."""
+    if spec.degree() == 3:
+        return 1
     p = ctx.p
-    if spec.degree() != 3 or spec.coeffs[-1] % p == 0:
-        raise ValueError("need a cubic with unit leading coefficient mod p")
-    if not is_squarefree_mod(spec, p):
-        raise SingularCurve(f"f not squarefree mod {p}")
-    trace = p - affine_count(ctx, spec)
-    if trace * trace >= 4 * p:
-        raise ArithmeticError(f"Hasse bound violated at p={p}: trace={trace}")
-    return trace
-
-
-def quartic_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
-    """Trace via the smooth model of twist * y^2 = quartic: two rational
-    points at infinity when lead/twist is a square, none otherwise."""
-    p = ctx.p
-    if spec.degree() != 4 or spec.coeffs[-1] % p == 0:
-        raise ValueError("need a quartic with unit leading coefficient mod p")
-    if not is_squarefree_mod(spec, p):
-        raise SingularCurve(f"f not squarefree mod {p}")
     lead = spec.coeffs[-1] * pow(spec.twist % p, p - 2, p) % p
-    infinity = 2 if ctx.chi[lead] == 1 else 0
-    trace = p + 1 - (affine_count(ctx, spec) + infinity)
+    return 2 if ctx.chi[lead] == 1 else 0
+
+
+def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
+    """Frobenius trace p + 1 - #projective of the smooth model of
+    twist * y^2 = f(x), for a cubic or quartic f with a unit leading
+    coefficient mod p.  Raises SingularCurve when f is not squarefree mod p."""
+    p = ctx.p
+    if spec.degree() not in (3, 4):
+        raise ValueError("need a cubic or a quartic")
+    if not is_squarefree_mod(spec, p):
+        raise SingularCurve(f"f not squarefree mod {p}")
+    trace = p + 1 - (affine_count(ctx, spec) + _infinity_count(ctx, spec))
     if trace * trace >= 4 * p:
         raise ArithmeticError(f"Hasse bound violated at p={p}: trace={trace}")
     return trace
@@ -201,13 +196,7 @@ def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
     """Traces of the five named genus-1 curves (smooth models)."""
     if ctx.p <= 3:
         raise SingularCurve(f"p={ctx.p}: not all named curves reduce well")
-    out = {}
-    for name, spec in NAMED_CURVES.items():
-        if spec.degree() == 3:
-            out[name] = weierstrass_trace(ctx, spec)
-        else:
-            out[name] = quartic_trace(ctx, spec)
-    return out
+    return {name: curve_trace(ctx, spec) for name, spec in NAMED_CURVES.items()}
 
 
 def quartic_spec(ctx: FieldContext, variant: int) -> HyperellipticSpec:
@@ -220,55 +209,38 @@ def quartic_spec(ctx: FieldContext, variant: int) -> HyperellipticSpec:
     return HyperellipticSpec((1, 0, 0, 0, c), twist=tw)
 
 
-def _quartic_values(p: int, s4: np.ndarray, c: int) -> tuple[np.ndarray, int]:
-    """f[s] = c*s^4 + 1 mod p given s4[s] = s^4 mod p, and the number of
-    zeros of f."""
+def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
+    """The count records of the four twist variants, in variant order.
+
+    Variants 1-2 share c = 1 and variants 3-4 share c = delta^2, so each
+    quartic f = c*s^4 + 1 is evaluated once, from one table of s^4.  The
+    zero locus is {u = 0}, the zeros of f, plus {s = 0}, the roots of
+    u^2 = 1/twist.
+    """
+    p = ctx.p
     if p < 5:
         raise SingularCurve(f"p={p}: quartic degenerates")
-    if c == 1:
-        raw = s4 + 1
-    else:
-        raw = s4 * c
-        raw += 1
-    f = reduce_mod(raw, p)
-    return f, p - int(np.count_nonzero(f))
-
-
-def _quartic_row(ctx: FieldContext, variant: int, f: np.ndarray,
-                 f_zeros: int) -> CountRecord:
-    """quartic_row, given f and its zero count from _quartic_values for
-    the variant's c."""
-    p = ctx.p
-    spec = quartic_spec(ctx, variant)
-    c = spec.coeffs[-1]
-    tw_inv = pow(spec.twist % p, p - 2, p)
-    zero_locus = f_zeros + int(ctx.root_counts[tw_inv])
-    if tw_inv != 1:
-        f = reduce_mod(f * tw_inv, p)
-    affine = int(ctx.root_counts[f].sum())
-    infinity = 2 if ctx.chi[c * tw_inv % p] == 1 else 0
-    trace = p + 1 - (affine + infinity)
-    return CountRecord(p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
-                       zero_locus, trace)
-
-
-def quartic_row(ctx: FieldContext, variant: int) -> CountRecord:
-    """Full count record for one quartic twist variant."""
-    c = quartic_spec(ctx, variant).coeffs[-1]
-    f, f_zeros = _quartic_values(ctx.p, ctx.squares[ctx.squares], c)
-    return _quartic_row(ctx, variant, f, f_zeros)
-
-
-def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
-    """The rows of all four variants, sharing one table of s^4.  Variants
-    1-2 share c = 1 and variants 3-4 share c = delta^2, so each quartic
-    c*s^4 + 1 is evaluated once."""
     s4 = ctx.squares[ctx.squares]
     rows = []
     for pair in ((1, 2), (3, 4)):
         c = quartic_spec(ctx, pair[0]).coeffs[-1]
-        f, f_zeros = _quartic_values(ctx.p, s4, c)
-        rows += [_quartic_row(ctx, v, f, f_zeros) for v in pair]
+        if c == 1:
+            f = s4 + 1
+        else:
+            f = s4 * c
+            f += 1
+        f = reduce_mod(f, p)
+        f_zeros = p - int(np.count_nonzero(f))
+        for variant in pair:
+            spec = quartic_spec(ctx, variant)
+            tw_inv = pow(spec.twist % p, p - 2, p)
+            vals = f if tw_inv == 1 else reduce_mod(f * tw_inv, p)
+            affine = int(ctx.root_counts[vals].sum())
+            infinity = _infinity_count(ctx, spec)
+            rows.append(CountRecord(
+                p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
+                f_zeros + int(ctx.root_counts[tw_inv]),
+                p + 1 - (affine + infinity)))
     return rows
 
 
@@ -380,8 +352,3 @@ def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
         "NR": valid & ~t_res & s_res,
         "NN": valid & ~t_res & ~s_res,
     }
-
-
-def fiber_pattern_counts(ctx: FieldContext) -> dict[str, int]:
-    """Counts of t != 0 with t^2 + 1 != 0 per bucket of `fiber_buckets`."""
-    return {key: int(mask.sum()) for key, mask in fiber_buckets(ctx).items()}

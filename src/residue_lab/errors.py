@@ -13,10 +13,6 @@ class WrongResidueClass(ResidueLabError):
     """The operation needs p in a residue class the given prime is not in."""
 
 
-class DuplicateResidues(ResidueLabError):
-    """A quadruple contains repeated residues mod p."""
-
-
 class PatternTooLong(ResidueLabError):
     """Pattern length exceeds p - 1."""
 
@@ -35,10 +31,6 @@ class UnknownCurve(ResidueLabError):
 
 class EmptySample(ResidueLabError):
     """A statistic was requested for an empty sample."""
-
-
-class OutOfDomain(ResidueLabError):
-    """Argument outside the function's domain."""
 
 
 class StaleContext(ArithmeticError):

@@ -63,9 +63,6 @@ class GaussianInteger:
     a: int
     b: int
 
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
-
 
 def reduce_mod(a: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """a mod p elementwise, computed as a - (a // p) * p.
@@ -207,16 +204,6 @@ def build_context(p: int, counting_oracle: bool = False,
         table.flags.writeable = False  # the views; the arena's buffers stay writable
     k = (p - 1) // 4 if p % 4 == 1 else None
     return FieldContext(p, k, chi, delta, root_counts, squares, idx, owner)
-
-
-def legendre(ctx: FieldContext, a: int) -> int:
-    """Legendre symbol (a/p): +1 for nonzero squares, -1 otherwise, 0 at 0."""
-    return int(ctx.chi[a % ctx.p])
-
-
-def sqrt_count(ctx: FieldContext, t: int) -> int:
-    """Number of y in 0..p-1 with y^2 = t mod p (0, 1, or 2)."""
-    return int(ctx.root_counts[t % ctx.p])
 
 
 def primes_in(lo: int, hi: int, residue_filter: tuple[int, int] | None = None) -> list[int]:

@@ -56,21 +56,6 @@ class PatternWord:
         return self.letters
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing offsets i_1 < ... < i_r used to shift a variable."""
-
-    offsets: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.offsets:
-            raise ValueError("empty index set")
-        if any(i < 0 for i in self.offsets):
-            raise ValueError("offsets must be nonnegative")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise ValueError("offsets must be strictly increasing")
-
-
 def parse_pattern(s) -> str:
     """Normalize a pattern given as str or PatternWord; case-insensitive."""
     if isinstance(s, PatternWord):
@@ -150,17 +135,6 @@ def jacobsthal(ctx: FieldContext) -> int:
     return int(ctx.chi[reduce_mod(f, p, out=t)].sum())
 
 
-def char_sum(ctx: FieldContext, I) -> int:
-    """Sum over a in F_p of chi((a+i_1) * ... * (a+i_r))."""
-    offsets = I.offsets if isinstance(I, IndexSet) else IndexSet(tuple(I)).offsets
-    p = ctx.p
-    a = np.arange(p, dtype=np.int64)
-    f = np.ones(p, dtype=np.int64)
-    for i in offsets:
-        f = reduce_mod(f * reduce_mod(a + i, p), p)
-    return int(ctx.chi[f].sum())
-
-
 def _subset_char_sums(ctx: FieldContext, ell: int) -> np.ndarray:
     """T(I) = sum_a chi(prod_{j in I} (a + j)) for every I within 0..ell-1,
     indexed by the bitmask of I (offset j is bit ell-1-j); T(empty) = p.
@@ -223,13 +197,6 @@ def pattern_counts_charsum(ctx: FieldContext, ell: int) -> dict[str, int]:
     return dict(zip(all_patterns(ell), (diff >> ell).tolist()))
 
 
-def count_pattern_charsum(ctx: FieldContext, S) -> int:
-    """count_pattern recomputed through complete character sums; one entry
-    of `pattern_counts_charsum`."""
-    s = parse_pattern(S)
-    return pattern_counts_charsum(ctx, len(s))[s]
-
-
 def pattern_curve_genus(ell: int) -> int:
     """Genus of the chain-of-quadrics curve behind the all-X pattern of length ell."""
     if ell < 2:
@@ -261,33 +228,8 @@ def _weil_limit(p: int) -> int:
     return 16 + math.isqrt(121 * p)
 
 
-def _weil_law(p: int, n: int) -> tuple[Fraction, float, bool]:
+def _weil_law(p: int, n: int) -> tuple[Fraction, float]:
     """For a length-4 pattern count n at p: the deviation n - (p-1)/16 as an
-    exact fraction, the bound (11*sqrt(p)+16)/16, and the exact check
-    |deviation| <= bound, in integers."""
-    d16 = 16 * n - (p - 1)
-    deviation = Fraction(d16, 16)
-    bound = (11.0 * math.sqrt(p) + 16.0) / 16.0
-    return deviation, bound, abs(d16) <= _weil_limit(p)
-
-
-def weil_deviation(ctx: FieldContext, S) -> tuple[Fraction, float]:
-    """Deviation of a length-4 pattern count from (p-1)/16, with its bound.
-
-    Returns (n_p(S) - (p-1)/16 as an exact fraction, (11*sqrt(p)+16)/16).
-    """
-    s = parse_pattern(S)
-    if len(s) != 4:
-        raise ValueError("deviation is defined for length-4 patterns")
-    if ctx.p < 17:
-        raise ValueError("need p >= 17")
-    deviation, bound, _ = _weil_law(ctx.p, count_pattern(ctx, s))
-    return deviation, bound
-
-
-def weil_bound_ok(ctx: FieldContext, S) -> bool:
-    """Exact check |n_p(S) - (p-1)/16| <= (11*sqrt(p)+16)/16, in integers."""
-    s = parse_pattern(S)
-    if len(s) != 4:
-        raise ValueError("bound is defined for length-4 patterns")
-    return _weil_law(ctx.p, count_pattern(ctx, s))[2]
+    exact fraction, and the bound (11*sqrt(p)+16)/16."""
+    deviation = Fraction(16 * n - (p - 1), 16)
+    return deviation, (11.0 * math.sqrt(p) + 16.0) / 16.0

@@ -18,12 +18,11 @@ K4 count.
 """
 
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DuplicateResidues, NotIntegral, WrongResidueClass
+from .errors import NotIntegral, WrongResidueClass
 from .modarith import FieldContext
 from .patterns import jacobsthal
 
@@ -59,10 +58,6 @@ DEGREE_KEY = {
     GraphClass.K4: (3, 3, 3, 3),
 }
 
-EDGE_COUNT = {cls: sum(key) // 2 for cls, key in DEGREE_KEY.items()}
-
-_KEY_TO_CLASS = {key: cls for cls, key in DEGREE_KEY.items()}
-
 # Packed key: sum over vertices of 5^degree encodes the degree multiset
 # in one small integer (each degree count is at most 4 < 5).
 _CODE_TO_CLASS = {sum(5 ** d for d in key): cls for cls, key in DEGREE_KEY.items()}
@@ -73,21 +68,6 @@ _TILE_CELLS = 1 << 14
 # Added to the key of a cell outside the grid (b or c in {0, a}, or b = c);
 # every valid edge key is below it.
 _OFF_GRID = 32
-
-
-def classify_quadruple(ctx: FieldContext, quad) -> GraphClass:
-    """Isomorphism class of the difference graph of four distinct residues."""
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4; edge relation not symmetric")
-    a = [x % ctx.p for x in quad]
-    if len(a) != 4 or len(set(a)) != 4:
-        raise DuplicateResidues(f"need 4 pairwise distinct residues, got {quad}")
-    deg = [0, 0, 0, 0]
-    for i, j in combinations(range(4), 2):
-        if ctx.chi[(a[i] - a[j]) % ctx.p] == 1:
-            deg[i] += 1
-            deg[j] += 1
-    return _KEY_TO_CLASS[tuple(sorted(deg))]
 
 
 def _edge_key_class(e: int, key: int) -> GraphClass:

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, OutOfDomain, SingularCurve, UnknownCurve
+from .errors import EmptySample, SingularCurve, UnknownCurve
 from .modarith import ContextArena, build_context, primes_in
 from . import curves
 
 HISTOGRAM_BINS = 40
 
-# Trace functions per curve id; every registered model has good reduction
-# at all p >= 5.
+# Models per curve id; every registered model has good reduction at all
+# p >= 5.
 _REGISTRY = dict(curves.NAMED_CURVES)
 _REGISTRY["weierstrass"] = curves.WEIERSTRASS_CM
 
@@ -52,15 +52,6 @@ def curve_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def trace_of(ctx, curve: str) -> int:
-    spec = _REGISTRY.get(curve)
-    if spec is None:
-        raise UnknownCurve(f"unknown curve {curve!r}; known: {curve_ids()}")
-    if spec.degree() == 3:
-        return curves.weierstrass_trace(ctx, spec)
-    return curves.quartic_trace(ctx, spec)
-
-
 def normalized_trace(p: int, trace: int) -> float:
     """a_p / (2 sqrt p), which the Hasse bound puts in (-1, 1)."""
     return trace / (2.0 * math.sqrt(p))
@@ -74,7 +65,8 @@ def collect_traces(curve: str, bound: int,
     good reduction there); bad-reduction primes inside the range are
     recorded in `skipped`.  The contexts are built in one arena.
     """
-    if curve not in _REGISTRY:
+    spec = _REGISTRY.get(curve)
+    if spec is None:
         raise UnknownCurve(f"unknown curve {curve!r}; known: {curve_ids()}")
     if bound < 5:
         raise ValueError("need bound >= 5")
@@ -84,19 +76,12 @@ def collect_traces(curve: str, bound: int,
     for p in primes:
         ctx = build_context(p, arena=arena)
         try:
-            trace = trace_of(ctx, curve)
+            trace = curves.curve_trace(ctx, spec)
         except SingularCurve:
             coll.skipped.append(p)
             continue
         coll.samples.append(TraceSample(p, normalized_trace(p, trace)))
     return coll
-
-
-def semicircle_cdf(t: float) -> float:
-    """CDF of the semicircle density (2/pi) sqrt(1 - t^2) on [-1, 1]."""
-    if not -1.0 <= t <= 1.0:
-        raise OutOfDomain(f"t={t} outside [-1, 1]")
-    return 0.5 + (t * math.sqrt(1.0 - t * t) + math.asin(t)) / math.pi
 
 
 def _cdf_values(xs: np.ndarray, law: str) -> np.ndarray:

@@ -188,6 +188,17 @@ def test_verify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
     assert SerialPool.sizes == []
 
 
+@pytest.mark.parametrize("env", ["abc", "0", "-4"])
+def test_verify_bad_env_jobs_is_a_usage_error(monkeypatch, capsys, env):
+    monkeypatch.setenv("RESIDUE_LAB_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "identity5", "--max-p", "30"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    # an explicit --jobs is never checked against the environment
+    assert cli.main(["verify", "identity5", "--max-p", "30", "--jobs", "1"]) == 0
+
+
 def test_verify_csv_format():
     res = run_cli("verify", "identity5", "--max-p", "7", "--format", "csv")
     assert res.returncode == 0
@@ -203,6 +214,20 @@ def test_verify_out_file(tmp_path):
     assert res.returncode == 0
     assert res.stdout == ""
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "identity5", "--max-p", "7"],
+    ["satotate", "e", "--max-p", "200"],
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    # exit 1 would say a claim failed; a path that cannot be written is exit 2
+    code = cli.main([*argv, "--out", str(tmp_path / "missing" / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_oracle_flag():
@@ -294,6 +319,44 @@ def test_verify_every_claim_frozen_bytes(capsys, two_cpus, claim, code, digest):
         assert cli.main(["verify", claim, "--max-p", "300", *extra]) == code, extra
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+@pytest.mark.parametrize("argv, digest, csv_digest", [
+    (("quartic-tables", "-p", "17"),
+     "f20e1147dbe1c1f06475cf63358ff1d3be2c3b46232986316626471bb26c5d98", None),
+    (("quartic-tables", "-p", "19"),
+     "6e01e4e54d717aba07acac0dfa79a3d0a5aaa271ac56e05c0694e3d520992c0d", None),
+    (("quartic-tables", "-p", "10007"),
+     "3cab286af838d4b059eebec4ba976e59f029d99675945ce55a00b64d51004870", None),
+    (("satotate", "a", "--max-p", "2000"),
+     "06a3d2fd0a158fc615603e42e9df69d69c139e6ba84feaa7f83ffe33e356dd7a",
+     "2255119597dcedf676139b6e72b01bb599ce197b073e95e8851055611608446a"),
+    (("satotate", "b", "--max-p", "2000"),
+     "75801e7dfae3b37a8e5f117cb49cbc2e731e2150ea57a589da322e7f05c6f2a6",
+     "378069ccb68176a1597c7a40e9068b9d7084f35ad2480a77a3d057b7f087492e"),
+    (("satotate", "c", "--max-p", "2000"),
+     "dceebad20b323b2e02598c62c05fb3d82b73740e496726a25c5a449835f671ab",
+     "09b4d0e41cf3fadb562bd3cae88827cb9a2f46438d532ee663ff4e796cc901ec"),
+    (("satotate", "d", "--max-p", "2000"),
+     "0f899e80ba2259e158e8b122b40372bd720055a07d250acba887ade6fcced307",
+     "2255119597dcedf676139b6e72b01bb599ce197b073e95e8851055611608446a"),
+    (("satotate", "e", "--max-p", "2000"),
+     "616184f230cfe3ff4eb49efb507b05b6f17c08a73f67e46d0fe0b33f5827da18",
+     "8bd4f607b52fc473cdc84deadfea5cf034776bf03148ec815932b86e8b2144ce"),
+    (("satotate", "weierstrass", "--max-p", "2000"),
+     "f52f962abc947872f1d6ec8428ad0013beb12512d31ff0ee25ab42e5184cdbdd",
+     "2255119597dcedf676139b6e72b01bb599ce197b073e95e8851055611608446a"),
+])
+def test_command_frozen_bytes(capsys, tmp_path, argv, digest, csv_digest):
+    # sha256 of stdout and of the --out histogram CSV, recorded while the
+    # cubic and quartic traces had separate laws and each quartic row its
+    # own evaluation
+    out = tmp_path / "hist.csv"
+    extra = ["--out", str(out)] if csv_digest else []
+    assert cli.main([*argv, *extra]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    if csv_digest:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
 
 
 def test_verify_unknown_claim_exits_2():

@@ -8,17 +8,15 @@ from residue_lab import (
     WrongResidueClass,
     affine_count,
     build_context,
+    curve_trace,
     edwards_affine,
-    fiber_pattern_counts,
     genus2_involution_check,
     jacobsthal,
     named_curve_traces,
     primes_in,
-    quartic_row,
     quartic_rows,
     verify_J_relations,
     verify_gauss_edwards,
-    weierstrass_trace,
 )
 from residue_lab import curves
 from residue_lab.curves import (
@@ -26,8 +24,10 @@ from residue_lab.curves import (
     NAMED_CURVES,
     WEIERSTRASS_CM,
     expected_quartic_table,
+    fiber_buckets,
     is_squarefree_mod,
     quartic_interior_count,
+    quartic_spec,
 )
 
 _PRIMES_BELOW_2000 = primes_in(3, 1999)
@@ -55,17 +55,20 @@ def test_affine_count_with_twist():
 
 
 def test_weierstrass_trace_values():
-    assert weierstrass_trace(build_context(13), WEIERSTRASS_CM) == 6
-    assert weierstrass_trace(build_context(7), WEIERSTRASS_CM) == 0
+    assert curve_trace(build_context(13), WEIERSTRASS_CM) == 6
+    assert curve_trace(build_context(7), WEIERSTRASS_CM) == 0
+    assert curve_trace(build_context(11), NAMED_CURVES["e"]) == 4
+    with pytest.raises(ValueError):
+        curve_trace(build_context(13), GENUS2_QUINTIC)
 
 
 def test_singular_curve_detection():
     # x(x+1)(x+3) = x^2(x+1) mod 3 has a repeated root
     with pytest.raises(SingularCurve):
-        weierstrass_trace(build_context(3), NAMED_CURVES["b"])
+        curve_trace(build_context(3), NAMED_CURVES["b"])
     # x(x+1)(x+2) = x^3 - x mod 3 is squarefree (roots 0, 1, 2), so the
     # shifted CM cubic still reduces well at 3 and is supersingular there.
-    assert weierstrass_trace(build_context(3), NAMED_CURVES["a"]) == 0
+    assert curve_trace(build_context(3), NAMED_CURVES["a"]) == 0
 
 
 def test_discriminant_values():
@@ -126,10 +129,10 @@ def test_non_cm_witnesses():
 
 
 def test_quartic_row_frozen():
-    r17 = quartic_row(build_context(17), 1)
+    r17 = quartic_rows(build_context(17))[0]
     assert (r17.infinity_count, r17.zero_locus_count) == (2, 6)
     assert r17.infinity_count + r17.zero_locus_count == 8
-    r13 = quartic_row(build_context(13), 1)
+    r13 = quartic_rows(build_context(13))[0]
     assert (r13.infinity_count, r13.zero_locus_count) == (2, 2)
     assert abs(r13.trace) == 6 == abs(jacobsthal(build_context(13)))
 
@@ -159,29 +162,31 @@ def test_quartic_rows_supersingular_at_3_mod_4():
 
 
 @pytest.mark.parametrize("oracle", [False, True])
-def test_quartic_rows_equal_separate_rows(oracle):
-    # quartic_rows evaluates each c*s^4 + 1 once for two twists;
-    # quartic_row evaluates its own
+def test_curve_trace_matches_quartic_rows(oracle):
+    # curve_trace runs Horner over the twist's spec; quartic_rows reads one
+    # table of s^4 for all four twists
     for p in primes_in(5, 1999):
         ctx = build_context(p, counting_oracle=oracle)
-        assert quartic_rows(ctx) == [quartic_row(ctx, v) for v in (1, 2, 3, 4)], p
+        rows = quartic_rows(ctx)
+        for v in (1, 2, 3, 4):
+            assert curve_trace(ctx, quartic_spec(ctx, v)) == rows[v - 1].trace, (p, v)
 
 
 def test_quartic_matches_brute_counts():
     for p in (13, 17, 29):
-        ctx = build_context(p)
-        for v in (1, 2, 3, 4):
-            rec = quartic_row(ctx, v)
-            c = 1 if v in (1, 2) else ctx.delta ** 2 % p
-            tw = 1 if v in (1, 3) else ctx.delta
-            assert rec.affine_count == brute.affine_count(p, (1, 0, 0, 0, c), tw), (p, v)
+        for oracle in (False, True):
+            ctx = build_context(p, counting_oracle=oracle)
+            for v, rec in enumerate(quartic_rows(ctx), start=1):
+                c = 1 if v in (1, 2) else ctx.delta ** 2 % p
+                tw = 1 if v in (1, 3) else ctx.delta
+                assert rec.affine_count == brute.affine_count(p, (1, 0, 0, 0, c), tw), (p, v)
 
 
 def test_quartic_trace_ties_to_jacobsthal():
     for p in primes_in(5, 9999, (1, 4)):
         ctx = build_context(p)
-        assert abs(quartic_row(ctx, 1).trace) == abs(jacobsthal(ctx)) \
-            == abs(weierstrass_trace(ctx, WEIERSTRASS_CM)), p
+        assert abs(quartic_rows(ctx)[0].trace) == abs(jacobsthal(ctx)) \
+            == abs(curve_trace(ctx, WEIERSTRASS_CM)), p
 
 
 def test_edwards_affine_frozen():
@@ -251,10 +256,13 @@ def test_genus2_spot_point():
 
 
 def test_fiber_pattern_counts():
-    assert fiber_pattern_counts(build_context(13)) == {"RR": 4, "RN": 2, "NR": 0, "NN": 4}
+    def counts(ctx):
+        return {key: int(mask.sum()) for key, mask in fiber_buckets(ctx).items()}
+
+    assert counts(build_context(13)) == {"RR": 4, "RN": 2, "NR": 0, "NN": 4}
     for p in primes_in(5, 300, (1, 4)):
         ctx = build_context(p)
-        buckets = fiber_pattern_counts(ctx)
+        buckets = counts(ctx)
         assert sum(buckets.values()) == p - 3, p
         rows = quartic_rows(ctx)
         for name, rec in zip(("RR", "RN", "NR", "NN"), rows):

@@ -11,9 +11,7 @@ from residue_lab import (
     build_context,
     cm_decompose,
     is_prime,
-    legendre,
     primes_in,
-    sqrt_count,
 )
 
 
@@ -182,25 +180,7 @@ def test_legendre_sum_vanishes():
         assert int(ctx.chi.sum(dtype=np.int64)) == 0
 
 
-def test_legendre_examples_and_euler_oracle():
-    assert legendre(build_context(17), 2) == 1
-    assert legendre(build_context(13), 0) == 0
-    assert legendre(build_context(13), 6) == -1
-    for p in primes_in(3, 200):
-        ctx = build_context(p)
-        for a in range(p):
-            assert legendre(ctx, a) == brute.legendre(a, p)
-
-
-def test_sqrt_count_examples():
-    ctx = build_context(13)
-    assert sqrt_count(ctx, 0) == 1
-    assert sqrt_count(ctx, 1) == 2
-    assert sqrt_count(ctx, 6) == 0
-    assert sqrt_count(ctx, 13 + 1) == 2  # reduced internally
-
-
-def test_sqrt_count_matches_enumeration():
+def test_root_counts_match_enumeration():
     for p in primes_in(3, 500):
         ctx = build_context(p)
         enumerated = np.bincount(np.arange(p, dtype=np.int64) ** 2 % p, minlength=p)

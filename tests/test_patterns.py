@@ -7,15 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab import (
-    IndexSet,
     PatternTooLong,
     PatternWord,
     WrongResidueClass,
     all_patterns,
     build_context,
-    char_sum,
     count_pattern,
-    count_pattern_charsum,
     jacobsthal,
     pattern_census,
     pattern_counts_charsum,
@@ -23,10 +20,9 @@ from residue_lab import (
     pattern_curve_genus,
     primes_in,
     residue_word,
-    weil_bound_ok,
-    weil_deviation,
 )
-from residue_lab.patterns import _weil_limit
+from residue_lab.claims import CLAIMS
+from residue_lab.patterns import _subset_char_sums, _weil_law, _weil_limit
 
 
 def test_residue_word_frozen_values():
@@ -81,8 +77,6 @@ def test_count_pattern_census_sums():
 def test_count_pattern_too_long():
     with pytest.raises(PatternTooLong):
         count_pattern(build_context(5), "XXXXX")
-    with pytest.raises(PatternTooLong):
-        count_pattern_charsum(build_context(5), "XXXXX")
     for census in (pattern_census, pattern_counts_charsum):
         with pytest.raises(PatternTooLong):
             census(build_context(5), 5)
@@ -156,38 +150,37 @@ def test_jacobsthal_structure():
         assert isqrt(b2) ** 2 == b2, p  # J^2/4 is a summand of p
 
 
+def _char_sum(ctx, offsets):
+    """sum_a chi(prod_{j in offsets} (a + j)), read from the expansion's
+    subset sums at the bitmask of the offsets."""
+    ell = max(offsets) + 1
+    mask = sum(1 << (ell - 1 - j) for j in offsets)
+    return int(_subset_char_sums(ctx, ell)[mask])
+
+
 def test_char_sum_values():
     for p in (5, 7, 13, 17, 101):
         ctx = build_context(p)
-        assert char_sum(ctx, (0,)) == 0
-        assert char_sum(ctx, (0, 1)) == -1
-    assert char_sum(build_context(13), (0, 1, 2)) == -6
+        assert _char_sum(ctx, (0,)) == 0
+        assert _char_sum(ctx, (0, 1)) == -1
+    assert _char_sum(build_context(13), (0, 1, 2)) == -6
+    assert _subset_char_sums(build_context(13), 3)[0] == 13  # the empty product
 
 
 def test_char_sum_matches_oracle():
     for p in primes_in(5, 60):
         ctx = build_context(p)
         for offsets in [(0, 2), (1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]:
-            assert char_sum(ctx, offsets) == brute.char_sum(p, offsets), (p, offsets)
-
-
-def test_index_set_validation():
-    with pytest.raises(ValueError):
-        IndexSet(())
-    with pytest.raises(ValueError):
-        IndexSet((2, 1))
-    with pytest.raises(ValueError):
-        IndexSet((0, 0))
-    with pytest.raises(ValueError):
-        IndexSet((-1, 2))
+            assert _char_sum(ctx, offsets) == brute.char_sum(p, offsets), (p, offsets)
 
 
 def test_charsum_count_agrees_with_scan():
     for p in primes_in(3, 200):
         ctx = build_context(p)
         for ell in range(1, min(5, p - 1) + 1):
+            expansion = pattern_counts_charsum(ctx, ell)
             for s in all_patterns(ell):
-                assert count_pattern_charsum(ctx, s) == count_pattern(ctx, s), (p, s)
+                assert expansion[s] == count_pattern(ctx, s), (p, s)
 
 
 def test_pattern_curve_genus():
@@ -222,14 +215,14 @@ def test_pattern_curve_count_is_scaled_pattern_count():
 
 def test_weil_deviation_17():
     ctx = build_context(17)
-    dev, bound = weil_deviation(ctx, "XXXX")
+    dev, bound = _weil_law(17, count_pattern(ctx, "XXXX"))
     assert dev == Fraction(-1)
     assert bound == pytest.approx(3.8346, abs=1e-4)
-    assert weil_bound_ok(ctx, "XXXX")
-    with pytest.raises(ValueError):
-        weil_deviation(ctx, "XXX")
-    with pytest.raises(ValueError):
-        weil_deviation(build_context(13), "XXXX")
+    # XXXX is the first of the census's equal worst deviations, |16n - 16| = 16
+    rec = CLAIMS["weil_bound"].run(ctx)
+    assert rec.passed and rec.actual == {"violations": 0}
+    assert rec.detail == {"worst_pattern": "XXXX", "worst_deviation": "-1",
+                          "bound": bound}
 
 
 def test_weil_limit_is_the_largest_integer_within_the_bound():
@@ -244,6 +237,7 @@ def test_weil_bound_holds_on_sample_range():
     for p in primes_in(17, 500):
         ctx = build_context(p)
         for s in all_patterns(4):
-            dev, bound = weil_deviation(ctx, s)
+            n = count_pattern(ctx, s)
+            dev, bound = _weil_law(p, n)
             assert abs(float(dev)) <= bound + 1e-9, (p, s)
-            assert weil_bound_ok(ctx, s), (p, s)
+            assert abs(16 * n - (p - 1)) <= _weil_limit(p), (p, s)

@@ -8,18 +8,16 @@ from hypothesis import given, settings, strategies as st
 import brute
 from residue_lab import quadgraphs
 from residue_lab import (
-    DuplicateResidues,
     GraphClass,
     NotIntegral,
     WrongResidueClass,
     build_context,
-    classify_quadruple,
     count_graph_classes,
     d_of_J,
     goncharova_K4,
     primes_in,
 )
-from residue_lab.quadgraphs import DEGREE_KEY, EDGE_COUNT
+from residue_lab.quadgraphs import DEGREE_KEY
 
 P13_CLASSES = {
     "Empty": 0, "OneEdge": 3, "TwoDisjointEdges": 3, "PathP3": 12,
@@ -51,21 +49,24 @@ def test_degree_multiset_is_complete_invariant():
     assert sum(seen_keys.values()) == 64
 
 
-def test_edge_counts_consistent_with_degrees():
-    for cls, key in DEGREE_KEY.items():
-        assert EDGE_COUNT[cls] * 2 == sum(key)
+def _classify(ctx, quad):
+    """Class of a quadruple by the packed edge key of count_graph_classes,
+    after translating its first residue to 0."""
+    p = ctx.p
+    a, b, c = ((x - quad[0]) % p for x in quad[1:])
+
+    def edge(x, y):
+        return int(ctx.chi[(x - y) % p] == 1)
+
+    key = edge(0, c) + 2 * edge(a, c) + 4 * edge(0, b) + 8 * edge(a, b) + 16 * edge(b, c)
+    return quadgraphs._edge_key_class(edge(0, a), key)
 
 
 def test_classify_examples():
     ctx = build_context(13)
-    assert classify_quadruple(ctx, (0, 1, 3, 9)) == GraphClass.STAR_K13
-    assert classify_quadruple(ctx, (1, 2, 4, 10)) == GraphClass.STAR_K13  # shifted
-    with pytest.raises(DuplicateResidues):
-        classify_quadruple(ctx, (0, 1, 3, 3))
-    with pytest.raises(DuplicateResidues):
-        classify_quadruple(ctx, (0, 1, 3, 14))  # 14 = 1 mod 13
-    with pytest.raises(WrongResidueClass):
-        classify_quadruple(build_context(7), (0, 1, 2, 3))
+    assert _classify(ctx, (0, 1, 3, 9)) == GraphClass.STAR_K13
+    assert _classify(ctx, (1, 2, 4, 10)) == GraphClass.STAR_K13  # shifted
+    assert brute.classify(13, (0, 1, 3, 9)) == GraphClass.STAR_K13.value
 
 
 def test_classify_matches_brute_and_is_invariant():
@@ -74,12 +75,12 @@ def test_classify_matches_brute_and_is_invariant():
         ctx = build_context(p)
         for _ in range(40):
             quad = tuple(rng.sample(range(p), 4))
-            cls = classify_quadruple(ctx, quad)
+            cls = _classify(ctx, quad)
             assert cls.value == brute.classify(p, quad)
             shift = rng.randrange(p)
-            assert classify_quadruple(ctx, tuple((a + shift) % p for a in quad)) == cls
+            assert _classify(ctx, tuple((a + shift) % p for a in quad)) == cls
             perm = rng.choice(list(permutations(range(4))))
-            assert classify_quadruple(ctx, tuple(quad[i] for i in perm)) == cls
+            assert _classify(ctx, tuple(quad[i] for i in perm)) == cls
 
 
 def test_count_graph_classes_frozen_values():

@@ -5,14 +5,13 @@ import pytest
 
 from residue_lab import (
     EmptySample,
-    OutOfDomain,
     UnknownCurve,
     collect_traces,
     ks_distance,
     primes_in,
-    semicircle_cdf,
     st_report,
 )
+from residue_lab.stats import _cdf_values
 
 
 def test_collect_traces_cm_split():
@@ -52,14 +51,17 @@ def test_cm_inert_traces_all_zero():
 
 
 def test_semicircle_cdf():
-    assert semicircle_cdf(0.0) == pytest.approx(0.5)
-    assert semicircle_cdf(1.0) == pytest.approx(1.0)
-    assert semicircle_cdf(-1.0) == pytest.approx(0.0)
-    with pytest.raises(OutOfDomain):
-        semicircle_cdf(1.5)
+    assert _cdf_values(np.array([-1.0, 0.0, 1.0]), "semicircle") == \
+        pytest.approx([0.0, 0.5, 1.0])
     grid = np.linspace(-1, 1, 10001)
-    vals = [semicircle_cdf(t) for t in grid]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = _cdf_values(grid, "semicircle")
+    assert (np.diff(vals) >= 0).all()
+    # its slope is the density (2/pi) sqrt(1 - t^2)
+    inner = slice(100, -100)
+    assert np.gradient(vals, grid)[inner] == \
+        pytest.approx(2 / math.pi * np.sqrt(1 - grid[inner] ** 2), abs=1e-3)
+    with pytest.raises(ValueError):
+        _cdf_values(np.zeros(1), "normal")
 
 
 def test_ks_distance_basics():
