@@ -28,14 +28,11 @@ from .patterns import (
     pattern_census,
     pattern_counts_charsum,
     pattern_curve_count,
-    pattern_curve_genus,
     residue_word,
 )
 from .quadgraphs import (
     GraphClass,
     count_graph_classes,
-    d_of_J,
-    goncharova_K4,
 )
 from .curves import (
     CountRecord,
@@ -46,18 +43,12 @@ from .curves import (
     genus2_involution_check,
     named_curve_traces,
     quartic_rows,
-    verify_J_relations,
-    verify_gauss_edwards,
 )
 from .k3 import (
     count_Mp,
     count_Np,
     count_S,
     count_Xprime,
-    verify_fibration,
-    verify_formula2,
-    verify_identity5,
-    verify_lemma_bookkeeping,
 )
 from .stats import (
     DistributionReport,

@@ -13,8 +13,8 @@ runs.  The run manifest goes to stderr.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -22,17 +22,26 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from .errors import ResidueLabError
-from .modarith import build_context
+from .modarith import build_context, cm_decompose
 from .patterns import count_pattern, jacobsthal, residue_word
 from .quadgraphs import GraphClass, count_graph_classes
 from .records import RunManifest
-from .claims import CLAIMS, _verify_worker, cm_payload, eligible_primes
+from .claims import CLAIMS, _verify_worker, eligible_primes
 from . import curves, k3, stats
 
 _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
 
-_COUNT_OBJECTS = ("pattern", "graph", "k3-M", "k3-N", "k3-S",
-                  "k3-Xprime", "k3-Xprime0", "edwards", "jacobsthal")
+# The kernel behind each `count` object but `pattern` and `graph`, which
+# take an argument of their own.
+_COUNT_KERNELS = {
+    "k3-M": k3.count_Mp,
+    "k3-N": k3.count_Np,
+    "k3-S": k3.count_S,
+    "k3-Xprime": lambda ctx: k3.count_Xprime(ctx)[0],
+    "k3-Xprime0": lambda ctx: k3.count_Xprime(ctx)[1],
+    "edwards": curves.edwards_affine,
+    "jacobsthal": jacobsthal,
+}
 
 
 def _usable_cpus() -> int:
@@ -50,6 +59,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _env_jobs(parser: argparse.ArgumentParser) -> int:
+    """RESIDUE_LAB_JOBS, 1 when unset, checked like --jobs; a bad value is a
+    usage error (exit 2) that names the variable."""
+    text = os.environ.get("RESIDUE_LAB_JOBS", "1")
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"RESIDUE_LAB_JOBS must be an integer of at least 1, got {text!r}")
+
+
+def _open_out(path: str | None, default):
+    """The --out file, opened before any work so that an unwritable path
+    fails at once; `default` in a null context without one."""
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="residue-lab",
@@ -61,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("-p", type=int, required=True)
 
     c = sub.add_parser("count", help="one counting query, JSON output")
-    c.add_argument("object", choices=_COUNT_OBJECTS)
+    c.add_argument("object", choices=("pattern", "graph", *_COUNT_KERNELS))
     c.add_argument("-p", type=int, required=True)
     c.add_argument("-S", "--pattern", help="pattern over X/Y for object=pattern")
     c.add_argument("--class", dest="graph_class",
@@ -72,10 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("claim", choices=sorted(CLAIMS))
     v.add_argument("--min-p", type=int, default=3)
     v.add_argument("--max-p", type=int, required=True)
-    # argparse converts a string default only when the option is absent,
-    # so RESIDUE_LAB_JOBS is validated exactly like --jobs
     v.add_argument("--jobs", type=_positive_int,
-                   default=os.environ.get("RESIDUE_LAB_JOBS", "1"),
                    help="worker processes (default: RESIDUE_LAB_JOBS or 1); "
                         "no more start than there are tasks or CPUs")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -120,45 +142,26 @@ def _cmd_count(args) -> int:
         counts = count_graph_classes(ctx)
         obj["class"] = args.graph_class
         obj["count"] = counts[GraphClass(args.graph_class)]
-    elif args.object == "k3-M":
-        obj["count"] = k3.count_Mp(ctx)
-    elif args.object == "k3-N":
-        obj["count"] = k3.count_Np(ctx)
-    elif args.object == "k3-S":
-        obj["count"] = k3.count_S(ctx)
-    elif args.object == "k3-Xprime":
-        obj["count"] = k3.count_Xprime(ctx)[0]
-    elif args.object == "k3-Xprime0":
-        obj["count"] = k3.count_Xprime(ctx)[1]
-    elif args.object == "edwards":
-        obj["count"] = curves.edwards_affine(ctx)
-    elif args.object == "jacobsthal":
-        obj["count"] = jacobsthal(ctx)
+    else:
+        obj["count"] = _COUNT_KERNELS[args.object](ctx)
     print(json.dumps(obj, separators=(",", ":")))
     return 0
 
 
-def _emit_records(records: list[dict], fmt: str, out_path: str | None) -> None:
+def _emit_records(records: list[dict], fmt: str, fh) -> None:
     if fmt == "jsonl":
-        text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "claim", "expected", "actual", "pass", "detail"])
-        for r in records:
-            writer.writerow([
-                r["p"], r["claim"],
-                json.dumps(r["expected"], separators=(",", ":")),
-                json.dumps(r["actual"], separators=(",", ":")),
-                str(r["pass"]).lower(),
-                json.dumps(r.get("detail"), separators=(",", ":")),
-            ])
-        text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+        return
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["p", "claim", "expected", "actual", "pass", "detail"])
+    for r in records:
+        writer.writerow([
+            r["p"], r["claim"],
+            json.dumps(r["expected"], separators=(",", ":")),
+            json.dumps(r["actual"], separators=(",", ":")),
+            str(r["pass"]).lower(),
+            json.dumps(r.get("detail"), separators=(",", ":")),
+        ])
 
 
 def _cmd_verify(args) -> int:
@@ -173,16 +176,17 @@ def _cmd_verify(args) -> int:
     # the pool forks all of its workers at the first submit, so it gets no
     # more than can be used; the manifest keeps the requested count
     workers = min(args.jobs, _usable_cpus())
-    if workers > 1 and len(primes) > 1:
-        chunk = max(1, len(primes) // (8 * workers))
-        tasks = [(args.claim, primes[i:i + chunk], args.oracle)
-                 for i in range(0, len(primes), chunk)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
-    else:
-        records = _verify_worker((args.claim, primes, args.oracle))
-    records.sort(key=lambda r: r["p"])
-    _emit_records(records, args.format, args.out)
+    with _open_out(args.out, sys.stdout) as fh:
+        if workers > 1 and len(primes) > 1:
+            chunk = max(1, len(primes) // (8 * workers))
+            tasks = [(args.claim, primes[i:i + chunk], args.oracle)
+                     for i in range(0, len(primes), chunk)]
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
+        else:
+            records = _verify_worker((args.claim, primes, args.oracle))
+        records.sort(key=lambda r: r["p"])
+        _emit_records(records, args.format, fh)
     manifest.finished = datetime.now(timezone.utc).isoformat()
     manifest.total = len(records)
     manifest.passed = sum(1 for r in records if r["pass"])
@@ -196,7 +200,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_satotate(args) -> int:
-    report = stats.st_report(args.curve, args.max_p, _FILTERS[args.filter])
+    with _open_out(args.out, None) as fh:
+        report = stats.st_report(args.curve, args.max_p, _FILTERS[args.filter])
+        if fh is not None:
+            total = max(report.sample_count, 1)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["bin_lo", "bin_hi", "count", "density"])
+            for lo, hi, count in report.histogram:
+                writer.writerow([f"{lo:.6f}", f"{hi:.6f}", count,
+                                 f"{count / (total * (hi - lo)):.8f}"])
     obj = {
         "curve": report.curve,
         "max_p": report.max_p,
@@ -206,20 +218,15 @@ def _cmd_satotate(args) -> int:
         "ks_uniform": report.ks_uniform,
         "ks_semicircle": report.ks_semicircle,
     }
-    if args.out:  # written first, so an unwritable path prints no report
-        total = max(report.sample_count, 1)
-        with open(args.out, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-            for lo, hi, count in report.histogram:
-                writer.writerow([f"{lo:.6f}", f"{hi:.6f}", count,
-                                 f"{count / (total * (hi - lo)):.8f}"])
     print(json.dumps(obj, separators=(",", ":")))
     return 0
 
 
 def _cmd_cm(args) -> int:
-    print(json.dumps(cm_payload(args.p), separators=(",", ":")))
+    gauss, mod4 = cm_decompose(build_context(args.p))
+    obj = {"p": args.p, "gauss": {"a": gauss.a, "b": gauss.b},
+           "jacobsthal": {"a": mod4.a, "b": mod4.b}}
+    print(json.dumps(obj, separators=(",", ":")))
     return 0
 
 
@@ -247,8 +254,11 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     args.argv = argv
+    if args.command == "verify" and args.jobs is None:
+        args.jobs = _env_jobs(parser)
     try:
         return _DISPATCH[args.command](args)
     except (ResidueLabError, ValueError, OSError) as exc:

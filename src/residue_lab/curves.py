@@ -5,7 +5,8 @@ twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 
 All counts run over the chi table of a FieldContext: one Horner pass and
 one root_counts gather per curve.  Whether a model reduces well at p is
-read off its integer discriminant, computed once per model.
+read off its integer discriminant, computed once per model.  The
+identities these counts enter are checked in `claims`.
 """
 
 import functools
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCurve, WrongResidueClass
-from .modarith import FieldContext, cm_decompose, reduce_mod
-from .patterns import jacobsthal
-from .records import VerificationRecord
+from .modarith import FieldContext, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,6 @@ QUARTIC_VARIANT_NAMES = {
     3: "u^2=delta^2*s^4+1",
     4: "delta*u^2=delta^2*s^4+1",
 }
-
-# Expected (infinity, zero-locus, sum) per variant, after reduction of the
-# prime mod 8; the trace column is the sign pattern (a, -a, -a, a).
-QUARTIC_TABLE_PM1 = {1: (2, 6, 8), 2: (0, 4, 4), 3: (2, 2, 4), 4: (0, 0, 0)}
-QUARTIC_TABLE_PM3 = {1: (2, 2, 4), 2: (0, 0, 0), 3: (2, 6, 8), 4: (0, 4, 4)}
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -244,16 +238,6 @@ def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
     return rows
 
 
-def quartic_interior_count(rec: CountRecord) -> int:
-    """Affine points with both coordinates nonzero."""
-    return rec.affine_count - rec.zero_locus_count
-
-
-def expected_quartic_table(p: int) -> dict[int, tuple[int, int, int]]:
-    """Table of (infinity, zero-locus, sum) selected by p mod 8."""
-    return QUARTIC_TABLE_PM1 if p % 8 in (1, 7) else QUARTIC_TABLE_PM3
-
-
 def edwards_affine(ctx: FieldContext) -> int:
     """Affine solutions of x^2 + y^2 = 1 - x^2 y^2 for p = 1 mod 4.
 
@@ -269,47 +253,14 @@ def edwards_affine(ctx: FieldContext) -> int:
     return int(ctx.root_counts[vals[mask]].sum())
 
 
-def verify_gauss_edwards(ctx: FieldContext) -> VerificationRecord:
-    """Smooth-model Edwards count (affine + 4) against (a-1)^2 + b^2 for
-    the 2+2i-normalized decomposition of p."""
-    gauss, _ = cm_decompose(ctx)
-    expected = (gauss.a - 1) ** 2 + gauss.b ** 2
-    actual = edwards_affine(ctx) + 4
-    return VerificationRecord(ctx.p, "gauss_edwards", expected, actual,
-                              expected == actual)
-
-
-def verify_J_relations(ctx: FieldContext) -> VerificationRecord:
-    """Jacobsthal sum against the CM cubic's point count and the CM
-    decomposition: J = #projective - p - 1 and |2a| = |J|.
-
-    The sign rule 2a = (-1)^(k+1) J is reported per normalization in
-    `detail` without gating; the two normalizations differ in sign of a
-    whenever b = 2 mod 4, so at most one of them can satisfy it there.
-    """
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    J = jacobsthal(ctx)
-    projective = affine_count(ctx, WEIERSTRASS_CM) + 1
-    gauss, mod4 = cm_decompose(ctx)
-    expected = {"curve_excess": J, "abs_2a": abs(J)}
-    actual = {"curve_excess": projective - ctx.p - 1, "abs_2a": abs(2 * gauss.a)}
-    sign = 1 if ctx.k % 2 else -1  # (-1)^(k+1)
-    detail = {
-        "sign_rule_gauss": 2 * gauss.a == sign * J,
-        "sign_rule_mod4": 2 * mod4.a == sign * J,
-    }
-    return VerificationRecord(ctx.p, "j_relations", expected, actual,
-                              expected == actual, detail=detail)
-
-
-def genus2_involution_check(ctx: FieldContext) -> VerificationRecord:
+def genus2_involution_check(ctx: FieldContext) -> tuple[int, int]:
     """Checks that (x, y) -> (-x-4, i*y) permutes the affine points of
-    y^2 = x(x+1)(x+2)(x+3)(x+4) and that applying it twice flips y.
+    y^2 = x(x+1)(x+2)(x+3)(x+4) and that applying it twice flips y, and
+    returns (mismatches, points checked).
 
     Every point is checked, _GENUS2_CHUNK values of x at a time, so the
-    temporaries stay bounded at any p.  `points_checked` counts two points
-    (x, y) and (x, -y) for each x with f(x) a square or zero.
+    temporaries stay bounded at any p.  The points checked are two, (x, y)
+    and (x, -y), for each x with f(x) a square or zero.
     """
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} has no square root of -1")
@@ -331,24 +282,4 @@ def genus2_involution_check(ctx: FieldContext) -> VerificationRecord:
             on_curve = reduce_mod(iy * iy, p) == f[ix]
             y_flip = reduce_mod(iy * i_unit, p) == reduce_mod(p - y, p)
             mismatches += int((~on_curve).sum() + (~x_back).sum() + (~y_flip).sum())
-    return VerificationRecord(
-        ctx.p, "genus2", 0, mismatches, mismatches == 0,
-        detail={"points_checked": 2 * int(xs.size)})
-
-
-def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
-    """Masks over t = 1..p-1 of the t with t^2 + 1 != 0, bucketed by the
-    residue pattern of (t, t^2 + 1); R = residue, N = non-residue.  Keys
-    RR, RN, NR, NN follow the quartic variants 1..4."""
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    tt1 = reduce_mod(ctx.squares[1:] + 1, ctx.p)
-    valid = tt1 != 0
-    t_res = ctx.chi[1:] == 1
-    s_res = ctx.chi[tt1] == 1
-    return {
-        "RR": valid & t_res & s_res,
-        "RN": valid & t_res & ~s_res,
-        "NR": valid & ~t_res & s_res,
-        "NN": valid & ~t_res & ~s_res,
-    }
+    return mismatches, 2 * int(xs.size)

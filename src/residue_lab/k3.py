@@ -1,5 +1,5 @@
-"""Point counts on the two K3 surfaces and the identities tying them to
-the CM cubic.
+"""Point counts on the two K3 surfaces and on a chart of the first.  The
+identities tying them to the CM cubic are checked in `claims`.
 
 Surface X:  z^2 = (x^2 y^2 + 1)(x^2 + y^2)  in 3-space.
 Surface S:  y12^2 + y23^2 = y13^2,  y23^2 + y34^2 = y24^2,
@@ -29,16 +29,13 @@ without changing its value:
   instead of scanning again.
 
 The kernels read only `ctx.squares` and `ctx.root_counts` (never chi, J or
-a curve trace), so an `--oracle` context drives them down an independent
-path.
+a curve trace) and import no closed form, so an `--oracle` context drives
+them down an independent path.
 """
 
 import numpy as np
 
-from .errors import WrongResidueClass
 from .modarith import FieldContext, reduce_mod
-from .patterns import jacobsthal
-from .records import VerificationRecord
 from . import curves
 
 # Cells of the class grid reduced per block; bounds every temporary.
@@ -144,15 +141,6 @@ def count_Np(ctx: FieldContext) -> int:
     return curves.affine_count(ctx, curves.WEIERSTRASS_CM)
 
 
-def verify_identity5(ctx: FieldContext) -> VerificationRecord:
-    """Check M = (p+1)^2 + (N-p)^2 + 1 at one prime."""
-    p = ctx.p
-    m = count_Mp(ctx)
-    n = count_Np(ctx)
-    expected = (p + 1) ** 2 + (n - p) ** 2 + 1
-    return VerificationRecord(p, "identity5", expected, m, expected == m)
-
-
 def count_S(ctx: FieldContext) -> int:
     """Points on the three-quadric surface in 5-space.
 
@@ -174,16 +162,6 @@ def count_S(ctx: FieldContext) -> int:
     sums = _row_sums(u[keep], u, w, per_sum,
                      lambda a, b, out, raw: np.add(a, b, out=out))
     return int(sums @ (w[keep] * outer[keep]))
-
-
-def verify_formula2(ctx: FieldContext) -> VerificationRecord:
-    """Check #S = (p-1)^2 + J^2 + 4 for p = 1 mod 4."""
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    p = ctx.p
-    s = count_S(ctx)
-    expected = (p - 1) ** 2 + jacobsthal(ctx) ** 2 + 4
-    return VerificationRecord(p, "formula2", expected, s, expected == s)
 
 
 def _locus_X(ctx: FieldContext, z0: int) -> int:
@@ -212,30 +190,6 @@ def _locus_S_count(ctx: FieldContext) -> int:
     l2 = int((rc[reduce_mod(1 - 2 * sq, p)] * rc[t] * rc[reduce_mod(2 * sq, p)]).sum())
     overlap = 2  # both conditions force (+-1, 0, 0, +-1, 0)
     return l1 + l2 - overlap
-
-
-def verify_lemma_bookkeeping(ctx: FieldContext) -> VerificationRecord:
-    """Check the transfer identity M - #S = 4p - 3.
-
-    The individual divisor loci are also counted directly and reported in
-    `detail` next to the stated values 6p-4 and 2p-1; only the net
-    difference is gated, since the locus definitions admit several readings
-    and only the difference is forced by the counts.
-    """
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    p = ctx.p
-    m, z0 = _m_scan(ctx)
-    s = count_S(ctx)
-    expected = 4 * p - 3
-    detail = {
-        "locus_X_measured": _locus_X(ctx, z0),
-        "locus_X_stated": 6 * p - 4,
-        "locus_S_measured": _locus_S_count(ctx),
-        "locus_S_stated": 2 * p - 1,
-    }
-    return VerificationRecord(p, "bookkeeping", expected, m - s,
-                              expected == m - s, detail=detail)
 
 
 def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
@@ -267,43 +221,3 @@ def count_Xprime(ctx: FieldContext) -> tuple[int, int]:
     """(total, boundary) for the chart X'."""
     total, boundary, _ = _xprime_scan(ctx)
     return total, boundary
-
-
-def verify_fibration(ctx: FieldContext) -> VerificationRecord:
-    """All chart-level identities at one prime p = 1 mod 4:
-
-    - #X = #X' + p,
-    - boundary #X'_0 = 7p - 15,
-    - interior = (1/4) sum of squared quartic interior counts
-               = p^2 - 6p + 17 + a^2 with a the quartic trace,
-    - each interior fiber count equals the interior count of the quartic
-      matching the residue pattern of (t, t^2 + 1).
-    """
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    p = ctx.p
-    total, boundary, fibers = _xprime_scan(ctx)
-    interior = total - boundary
-    m = count_Mp(ctx)
-    rows = curves.quartic_rows(ctx)
-    circ = [curves.quartic_interior_count(r) for r in rows]
-    quarter_sum = sum(c * c for c in circ)
-    if quarter_sum % 4:
-        raise ArithmeticError(f"sum of squared interior counts not divisible by 4 at p={p}")
-    quarter_sum //= 4
-    a = rows[0].trace
-    closed = p * p - 6 * p + 17 + a * a
-    # per-fiber: each bucket of t matches its quartic variant's interior
-    inner_fibers = fibers[1:]
-    fibers_ok = all(
-        bool((inner_fibers[mask] == c).all())
-        for mask, c in zip(curves.fiber_buckets(ctx).values(), circ))
-    expected = {"total_plus_p": m, "boundary": 7 * p - 15,
-                "interior": quarter_sum, "interior_closed": closed,
-                "fibers_ok": True}
-    actual = {"total_plus_p": total + p, "boundary": boundary,
-              "interior": interior, "interior_closed": interior,
-              "fibers_ok": fibers_ok}
-    return VerificationRecord(p, "fibration", expected, actual,
-                              expected == actual,
-                              detail={"quartic_traces": [r.trace for r in rows]})

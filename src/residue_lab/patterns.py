@@ -21,9 +21,7 @@ Neither path reads the other's output.  Both refuse a length whose 2^ell
 bins would not stay O(p).
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -197,13 +195,6 @@ def pattern_counts_charsum(ctx: FieldContext, ell: int) -> dict[str, int]:
     return dict(zip(all_patterns(ell), (diff >> ell).tolist()))
 
 
-def pattern_curve_genus(ell: int) -> int:
-    """Genus of the chain-of-quadrics curve behind the all-X pattern of length ell."""
-    if ell < 2:
-        raise ValueError("need ell >= 2")
-    return (1 << (ell - 2)) * (ell - 3) + 1
-
-
 def pattern_curve_count(ctx: FieldContext, ell: int) -> int:
     """Points with all coordinates nonzero on the chain x_{j+1}^2 - x_j^2 = 1.
 
@@ -219,17 +210,3 @@ def pattern_curve_count(ctx: FieldContext, ell: int) -> int:
     for j in range(1, ell):
         total *= nz_roots[reduce_mod(sq + j, p)]
     return int(total.sum())
-
-
-def _weil_limit(p: int) -> int:
-    """The largest integer |16n - (p-1)| within 11*sqrt(p) + 16, that is
-    16 + isqrt(121p): the bound on a length-4 pattern count n at p, scaled
-    by 16 and checked in integers."""
-    return 16 + math.isqrt(121 * p)
-
-
-def _weil_law(p: int, n: int) -> tuple[Fraction, float]:
-    """For a length-4 pattern count n at p: the deviation n - (p-1)/16 as an
-    exact fraction, and the bound (11*sqrt(p)+16)/16."""
-    deviation = Fraction(16 * n - (p - 1), 16)
-    return deviation, (11.0 * math.sqrt(p) + 16.0) / 16.0

@@ -13,8 +13,8 @@ edge, so only a = 1 and a non-residue a = delta are scanned, each over
 all pairs (b, c) in row tiles of about _TILE_CELLS cells.  It reads the
 residue indicator and the non-residue from `ctx.root_counts`, never chi,
 J or a curve trace, so an `--oracle` context drives it down an
-independent path and `goncharova_K4` stays an independent check of its
-K4 count.
+independent path and the closed form in `claims` stays an independent
+check of its K4 count.
 """
 
 from enum import Enum
@@ -22,9 +22,8 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NotIntegral, WrongResidueClass
+from .errors import WrongResidueClass
 from .modarith import FieldContext
-from .patterns import jacobsthal
 
 
 class GraphClass(Enum):
@@ -134,24 +133,3 @@ def count_graph_classes(ctx: FieldContext) -> dict[GraphClass, int]:
             raise ArithmeticError(f"tally for {cls} not divisible by 24 at p={p}")
         out[cls] = weighted // 24
     return out
-
-
-def d_of_J(J: int) -> int:
-    """(J^2 - 4) / 32, defined only when the division is exact."""
-    num = J * J - 4
-    if num % 32:
-        raise NotIntegral(f"({J}^2 - 4) is not divisible by 32")
-    return num // 32
-
-
-def goncharova_K4(ctx: FieldContext) -> int:
-    """Closed form for the K4 class count at p = 4k + 1:
-    (k(k-1)(k-4) + 2k*d) / 24 with d = (J^2 - 4) / 32."""
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    k = ctx.k
-    d = d_of_J(jacobsthal(ctx))
-    num = k * (k - 1) * (k - 4) + 2 * k * d
-    if num % 24:
-        raise NotIntegral(f"K4 numerator {num} not divisible by 24 at p={ctx.p}")
-    return num // 24

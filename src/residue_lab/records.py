@@ -1,26 +1,29 @@
 """Result records shared by the verification operations and the CLI."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
 class VerificationRecord:
     """Outcome of one named identity at one prime.
 
-    `passed` must equal (expected == actual); `detail` carries informational
-    values that are reported but not gated.  `elapsed` is kept in memory for
-    the run manifest and never serialized, so output streams stay
-    byte-identical across runs.
+    The record passes exactly when expected == actual; `detail` carries
+    informational values that are reported but not gated.  `elapsed` is
+    kept in memory for the run manifest and never serialized, so output
+    streams stay byte-identical across runs.
     """
 
     p: int
     claim: str
     expected: object
     actual: object
-    passed: bool
     detail: dict | None = None
     elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
 
     def to_obj(self) -> dict:
         obj = {
@@ -49,20 +52,6 @@ class RunManifest:
     total: int = 0
     passed: int = 0
     failed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "claim": self.claim,
-            "min_p": self.min_p,
-            "max_p": self.max_p,
-            "jobs": self.jobs,
-            "started": self.started,
-            "finished": self.finished,
-            "total": self.total,
-            "passed": self.passed,
-            "failed": self.failed,
-        }
-        obj.update(self.extra)
-        return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+        return json.dumps(asdict(self), separators=(",", ":"))

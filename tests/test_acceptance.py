@@ -22,7 +22,7 @@ import pytest
 
 import residue_lab as rl
 from residue_lab import k3, stats
-from residue_lab.claims import CLAIMS
+from residue_lab.claims import CLAIMS, goncharova_K4
 
 
 def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
@@ -44,8 +44,8 @@ def k3_data():
         if p % 4 == 1:
             entry["S"] = k3.count_S(ctx)
             entry["J"] = rl.jacobsthal(ctx)
-            entry["fibration"] = k3.verify_fibration(ctx)
-            entry["bookkeeping"] = k3.verify_lemma_bookkeeping(ctx)
+            entry["fibration"] = CLAIMS["fibration"].run(ctx)
+            entry["bookkeeping"] = CLAIMS["bookkeeping"].run(ctx)
         data[p] = entry
     return data
 
@@ -57,7 +57,7 @@ def graph_data():
     data = {}
     for p in rl.primes_in(5, 613, (1, 4)) + [5009]:
         ctx = rl.build_context(p)
-        data[p] = (rl.goncharova_K4(ctx), rl.count_graph_classes(ctx))
+        data[p] = (goncharova_K4(ctx), rl.count_graph_classes(ctx))
     return data
 
 
@@ -67,7 +67,7 @@ def cm_data():
     data = {}
     for p in rl.primes_in(5, 9999, (1, 4)):
         ctx = rl.build_context(p)
-        data[p] = (rl.verify_gauss_edwards(ctx), rl.verify_J_relations(ctx))
+        data[p] = (CLAIMS["gauss_edwards"].run(ctx), CLAIMS["j_relations"].run(ctx))
     return data
 
 
@@ -109,7 +109,7 @@ def test_c03_formula2(k3_data):
            if "S" in e and e["S"] != (p - 1) ** 2 + e["J"] ** 2 + 4]
     spots = {}
     for p in (10009, 19997):
-        rec = k3.verify_formula2(rl.build_context(p))
+        rec = CLAIMS["formula2"].run(rl.build_context(p))
         spots[p] = rec.passed
         if not rec.passed:
             bad.append(p)
@@ -290,7 +290,7 @@ def test_c14_cm_structure(trace_data):
 
 def test_c15_genus2_involution():
     bad = [p for p in rl.primes_in(5, 999, (1, 4))
-           if not rl.genus2_involution_check(rl.build_context(p)).passed]
+           if not CLAIMS["genus2"].run(rl.build_context(p)).passed]
     ok = not bad
     _report(15, "quintic involution closes on the point set, p = 1 mod 4 < 1000", ok)
     assert ok, f"involution check fails at {bad}"

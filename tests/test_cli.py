@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from residue_lab import cli, k3
+from residue_lab import cli, k3, stats
 
 CLI = [sys.executable, "-m", "residue_lab.cli"]
 
@@ -34,6 +34,17 @@ def test_count_k3M():
     res = run_cli("count", "k3-M", "-p", "5")
     assert res.returncode == 0
     assert res.stdout.strip() == '{"p":5,"object":"k3-M","count":41}'
+
+
+@pytest.mark.parametrize("obj, count", [
+    # S, the chart total and boundary (M - p and 7p - 15), the Edwards count
+    # and J at p = 13, as the unit tests pin them against tests/brute.py
+    ("k3-N", 7), ("k3-S", 184), ("k3-Xprime", 220), ("k3-Xprime0", 76),
+    ("edwards", 4), ("jacobsthal", -6),
+])
+def test_count_object_stdout(capsys, obj, count):
+    assert cli.main(["count", obj, "-p", "13"]) == 0
+    assert capsys.readouterr().out == f'{{"p":13,"object":"{obj}","count":{count}}}\n'
 
 
 def test_count_pattern_case_insensitive():
@@ -194,7 +205,8 @@ def test_verify_bad_env_jobs_is_a_usage_error(monkeypatch, capsys, env):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "identity5", "--max-p", "30"])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "RESIDUE_LAB_JOBS" in err and "_positive_int" not in err
     # an explicit --jobs is never checked against the environment
     assert cli.main(["verify", "identity5", "--max-p", "30", "--jobs", "1"]) == 0
 
@@ -220,8 +232,14 @@ def test_verify_out_file(tmp_path):
     ["verify", "identity5", "--max-p", "7"],
     ["satotate", "e", "--max-p", "200"],
 ])
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
-    # exit 1 would say a claim failed; a path that cannot be written is exit 2
+def test_unwritable_out_is_a_usage_error(monkeypatch, capsys, tmp_path, argv):
+    # exit 1 would say a claim failed; a path that cannot be written is exit 2,
+    # found before any record is computed or any trace collected
+    def no_work(*args):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr(cli, "_verify_worker", no_work)
+    monkeypatch.setattr(stats, "collect_traces", no_work)
     code = cli.main([*argv, "--out", str(tmp_path / "missing" / "out")])
     captured = capsys.readouterr()
     assert code == 2

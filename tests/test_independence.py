@@ -6,12 +6,16 @@ or `delta`.  A default context derives `root_counts` from `chi`, but an
 `--oracle` context builds it by tallying squares, so as long as the read
 sets stay apart the two sides of every identity run down independent
 paths.  Pinning the sets makes a kernel that starts reading `chi`, or a
-closed form that starts reading `root_counts`, fail here.
+closed form that starts reading `root_counts`, fail here.  The kernel
+modules also hold no closed form, claim runner or record type, so none of
+them can call the identity it is checked against.
 """
+
+import inspect
 
 import pytest
 
-from residue_lab import k3, quadgraphs
+from residue_lab import claims, curves, k3, modarith, patterns, quadgraphs, records
 from residue_lab.curves import WEIERSTRASS_CM, HyperellipticSpec, affine_count, edwards_affine
 from residue_lab.modarith import FieldContext, build_context, cm_decompose
 from residue_lab.patterns import (count_pattern, jacobsthal, pattern_census,
@@ -59,7 +63,7 @@ _CLOSED_FORM_READS = {
     "patterns.pattern_counts_charsum": (lambda ctx: pattern_counts_charsum(ctx, 4),
                                         {"chi"}),
     "patterns.jacobsthal": (jacobsthal, {"chi", "index"}),
-    "quadgraphs.goncharova_K4": (quadgraphs.goncharova_K4, {"chi", "index"}),
+    "claims.goncharova_K4": (claims.goncharova_K4, {"chi", "index"}),
     "modarith.cm_decompose": (cm_decompose, {"delta"}),
 }
 
@@ -93,3 +97,13 @@ def test_recording_context_sees_every_field():
     for name in _FIELDS:
         getattr(ctx, name)
     assert ctx.reads == set(_FIELDS)
+
+
+@pytest.mark.parametrize("kernel", [k3, curves, quadgraphs], ids=lambda m: m.__name__)
+def test_kernel_modules_hold_no_closed_form(kernel):
+    banned = (claims, patterns, records, patterns.jacobsthal,
+              modarith.cm_decompose, records.VerificationRecord)
+    for name, value in vars(kernel).items():
+        assert not any(value is b for b in banned), name
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ not in (claims.__name__, patterns.__name__), name

@@ -14,11 +14,8 @@ from residue_lab import (
     count_Xprime,
     jacobsthal,
     primes_in,
-    verify_fibration,
-    verify_formula2,
-    verify_identity5,
-    verify_lemma_bookkeeping,
 )
+from residue_lab.claims import CLAIMS
 
 
 def test_count_Mp_frozen():
@@ -46,10 +43,10 @@ def test_count_Np_supersingular_specialization():
 
 def test_verify_identity5():
     for p, m in ((3, 17), (5, 41), (7, 65)):
-        rec = verify_identity5(build_context(p))
+        rec = CLAIMS["identity5"].run(build_context(p))
         assert rec.passed and rec.actual == m
     for p in primes_in(3, 150):
-        assert verify_identity5(build_context(p)).passed, p
+        assert CLAIMS["identity5"].run(build_context(p)).passed, p
 
 
 def test_count_S_frozen():
@@ -66,18 +63,18 @@ def test_count_S_matches_brute():
 
 def test_verify_formula2():
     for p in primes_in(5, 150, (1, 4)):
-        rec = verify_formula2(build_context(p))
+        rec = CLAIMS["formula2"].run(build_context(p))
         assert rec.passed, p
     with pytest.raises(WrongResidueClass):
-        verify_formula2(build_context(7))
+        CLAIMS["formula2"].run(build_context(7))
 
 
 def test_bookkeeping_frozen():
-    rec5 = verify_lemma_bookkeeping(build_context(5))
+    rec5 = CLAIMS["bookkeeping"].run(build_context(5))
     assert rec5.passed and rec5.actual == 17
     assert rec5.detail["locus_X_measured"] == 17
     assert rec5.detail["locus_S_measured"] == 8
-    rec13 = verify_lemma_bookkeeping(build_context(13))
+    rec13 = CLAIMS["bookkeeping"].run(build_context(13))
     assert rec13.passed and rec13.actual == 49
     assert rec13.detail["locus_X_measured"] == 65
     assert rec13.detail["locus_S_measured"] == 24
@@ -87,7 +84,7 @@ def test_bookkeeping_frozen():
 
 def test_bookkeeping_net_identity():
     for p in primes_in(5, 150, (1, 4)):
-        rec = verify_lemma_bookkeeping(build_context(p))
+        rec = CLAIMS["bookkeeping"].run(build_context(p))
         assert rec.passed, p
         assert rec.actual == 4 * p - 3, p
 
@@ -154,12 +151,12 @@ def test_xprime_relations():
 
 
 def test_verify_fibration():
-    rec13 = verify_fibration(build_context(13))
+    rec13 = CLAIMS["fibration"].run(build_context(13))
     assert rec13.passed
     assert rec13.actual["interior"] == 144
     assert sorted(rec13.detail["quartic_traces"]) == [-6, -6, 6, 6]
     for p in primes_in(5, 150, (1, 4)):
-        assert verify_fibration(build_context(p)).passed, p
+        assert CLAIMS["fibration"].run(build_context(p)).passed, p
 
 
 def test_chain_consistency():

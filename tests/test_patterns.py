@@ -17,12 +17,11 @@ from residue_lab import (
     pattern_census,
     pattern_counts_charsum,
     pattern_curve_count,
-    pattern_curve_genus,
     primes_in,
     residue_word,
 )
-from residue_lab.claims import CLAIMS
-from residue_lab.patterns import _subset_char_sums, _weil_law, _weil_limit
+from residue_lab.claims import CLAIMS, _weil_law, _weil_limit
+from residue_lab.patterns import _subset_char_sums
 
 
 def test_residue_word_frozen_values():
@@ -181,15 +180,6 @@ def test_charsum_count_agrees_with_scan():
             expansion = pattern_counts_charsum(ctx, ell)
             for s in all_patterns(ell):
                 assert expansion[s] == count_pattern(ctx, s), (p, s)
-
-
-def test_pattern_curve_genus():
-    assert pattern_curve_genus(2) == 0
-    assert pattern_curve_genus(3) == 1
-    assert pattern_curve_genus(4) == 5
-    assert pattern_curve_genus(5) == 17
-    with pytest.raises(ValueError):
-        pattern_curve_genus(1)
 
 
 def test_pattern_curve_count_frozen():

@@ -13,10 +13,9 @@ from residue_lab import (
     WrongResidueClass,
     build_context,
     count_graph_classes,
-    d_of_J,
-    goncharova_K4,
     primes_in,
 )
+from residue_lab.claims import d_of_J, goncharova_K4
 from residue_lab.quadgraphs import DEGREE_KEY
 
 P13_CLASSES = {
