@@ -4,7 +4,6 @@ realize them, and batch verification over prime ranges."""
 
 from .errors import (
     EmptySample,
-    NotIntegral,
     NotOddPrime,
     PatternTooLong,
     ResidueLabError,

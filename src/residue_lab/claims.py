@@ -4,22 +4,23 @@ check they make.
 The kernel modules (`k3`, `curves`, `quadgraphs`) only count; the closed
 forms and tables their counts are checked against live here, next to one
 `_run_<claim>` per claim, so no kernel imports the identity it is tested
-by.  Each claim owns its eligible residue class and minimum prime; a user
-filter can only restrict the set further.  Runners return one
-VerificationRecord per prime, which passes when expected == actual.  A run
-over many primes builds their contexts in one ContextArena; no context
-outlives the claim run that built it.
+by.  Each claim owns its eligible residue class and minimum prime:
+`eligible_primes` lists only those primes and `run_claim` refuses any
+other, so no runner checks them again; a user filter can only restrict
+the set further.  Runners return one VerificationRecord per prime, which
+passes when expected == actual.  A run over many primes builds their
+contexts in one ContextArena; no context outlives the claim run that
+built it.
 """
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .errors import NotIntegral, WrongResidueClass
+from .errors import WrongResidueClass
 from .modarith import (ContextArena, FieldContext, build_context, cm_decompose,
                        primes_in, reduce_mod)
 from .patterns import jacobsthal, pattern_census, pattern_counts_charsum
@@ -34,30 +35,24 @@ QUARTIC_TABLE_PM1 = {1: (2, 6, 8), 2: (0, 4, 4), 3: (2, 2, 4), 4: (0, 0, 0)}
 QUARTIC_TABLE_PM3 = {1: (2, 2, 4), 2: (0, 0, 0), 3: (2, 6, 8), 4: (0, 4, 4)}
 
 
-def _need_1_mod_4(ctx: FieldContext) -> None:
-    if ctx.k is None:
-        raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-
-
 # ------------------------------------------------------------ closed forms
 
 def d_of_J(J: int) -> int:
     """(J^2 - 4) / 32, defined only when the division is exact."""
     num = J * J - 4
     if num % 32:
-        raise NotIntegral(f"({J}^2 - 4) is not divisible by 32")
+        raise ArithmeticError(f"({J}^2 - 4) is not divisible by 32")
     return num // 32
 
 
 def goncharova_K4(ctx: FieldContext) -> int:
     """Closed form for the K4 class count at p = 4k + 1:
     (k(k-1)(k-4) + 2k*d) / 24 with d = (J^2 - 4) / 32."""
-    _need_1_mod_4(ctx)
     k = ctx.k
     d = d_of_J(jacobsthal(ctx))
     num = k * (k - 1) * (k - 4) + 2 * k * d
     if num % 24:
-        raise NotIntegral(f"K4 numerator {num} not divisible by 24 at p={ctx.p}")
+        raise ArithmeticError(f"K4 numerator {num} not divisible by 24 at p={ctx.p}")
     return num // 24
 
 
@@ -70,7 +65,6 @@ def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
     """Masks over t = 1..p-1 of the t with t^2 + 1 != 0, bucketed by the
     residue pattern of (t, t^2 + 1); R = residue, N = non-residue.  Keys
     RR, RN, NR, NN follow the quartic variants 1..4."""
-    _need_1_mod_4(ctx)
     tt1 = reduce_mod(ctx.squares[1:] + 1, ctx.p)
     valid = tt1 != 0
     t_res = ctx.chi[1:] == 1
@@ -101,7 +95,6 @@ def _weil_law(p: int, n: int) -> tuple[Fraction, float]:
 
 def _run_formula2(ctx: FieldContext) -> VerificationRecord:
     """#S = (p-1)^2 + J^2 + 4 for p = 1 mod 4."""
-    _need_1_mod_4(ctx)
     p = ctx.p
     s = k3.count_S(ctx)
     return VerificationRecord(p, "formula2", (p - 1) ** 2 + jacobsthal(ctx) ** 2 + 4, s)
@@ -161,7 +154,6 @@ def _run_fibration(ctx: FieldContext) -> VerificationRecord:
     - each interior fiber count equals the interior count of the quartic
       matching the residue pattern of (t, t^2 + 1).
     """
-    _need_1_mod_4(ctx)
     p = ctx.p
     total, boundary, fibers = k3._xprime_scan(ctx)
     interior = total - boundary
@@ -207,7 +199,6 @@ def _run_j_relations(ctx: FieldContext) -> VerificationRecord:
     `detail` without gating; the two normalizations differ in sign of a
     whenever b = 2 mod 4, so at most one of them can satisfy it there.
     """
-    _need_1_mod_4(ctx)
     J = jacobsthal(ctx)
     projective = curves.affine_count(ctx, curves.WEIERSTRASS_CM) + 1
     gauss, mod4 = cm_decompose(ctx)
@@ -229,7 +220,6 @@ def _run_bookkeeping(ctx: FieldContext) -> VerificationRecord:
     difference is gated, since the locus definitions admit several readings
     and only the difference is forced by the counts.
     """
-    _need_1_mod_4(ctx)
     p = ctx.p
     m, z0 = k3._m_scan(ctx)
     s = k3.count_S(ctx)
@@ -339,14 +329,16 @@ def eligible_primes(claim: ClaimDef, min_p: int, max_p: int,
 
 def run_claim(claim_name: str, p: int, oracle: bool = False,
               arena: ContextArena | None = None) -> VerificationRecord:
-    """Build the context for p, in `arena` when given, and run one claim,
-    timing it."""
+    """Build the context for p, in `arena` when given, and run one claim.
+
+    Raises WrongResidueClass for a prime below the claim's minimum or
+    outside its residue class: the runners themselves do not check.
+    """
     claim = CLAIMS[claim_name]
-    start = time.perf_counter()
-    ctx = build_context(p, counting_oracle=oracle, arena=arena)
-    record = claim.run(ctx)
-    record.elapsed = time.perf_counter() - start
-    return record
+    if p < claim.min_p or (claim.residue is not None
+                           and p % claim.residue[1] != claim.residue[0]):
+        raise WrongResidueClass(f"claim {claim_name} does not apply at p={p}")
+    return claim.run(build_context(p, counting_oracle=oracle, arena=arena))
 
 
 def _verify_worker(args: tuple[str, list[int], bool]) -> list[dict]:

@@ -2,10 +2,11 @@
 
 Subcommands: word, count, verify, satotate, cm, quartic-tables.
 Exit codes: 0 all passed, 1 some verification failed, 2 usage or domain
-error (an unwritable --out among them), 3 internal invariant violated (an
-ArithmeticError from a consistency check such as the Hasse bound or a
-divisibility test, or a read of a stale context: a defect in the library,
-not a failing claim).
+error (an unwritable --out and running out of memory among them), 3
+internal invariant violated (an ArithmeticError from a consistency check
+such as the Hasse bound or a divisibility test, or a read of a stale
+context: a defect in the library, not a failing claim).  Arguments are
+checked before --out is opened, so a usage error leaves it untouched.
 Verification streams are JSONL (default) or CSV with fixed key order;
 records are emitted in ascending p regardless of --jobs, and nothing
 time-dependent is written to stdout, so outputs are byte-identical across
@@ -185,7 +186,6 @@ def _cmd_verify(args) -> int:
                 records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
         else:
             records = _verify_worker((args.claim, primes, args.oracle))
-        records.sort(key=lambda r: r["p"])
         _emit_records(records, args.format, fh)
     manifest.finished = datetime.now(timezone.utc).isoformat()
     manifest.total = len(records)
@@ -200,6 +200,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_satotate(args) -> int:
+    if args.max_p < stats.ST_MIN_BOUND:
+        raise ValueError(f"need --max-p >= {stats.ST_MIN_BOUND}")
     with _open_out(args.out, None) as fh:
         report = stats.st_report(args.curve, args.max_p, _FILTERS[args.filter])
         if fh is not None:
@@ -261,7 +263,7 @@ def main(argv=None) -> int:
         args.jobs = _env_jobs(parser)
     try:
         return _DISPATCH[args.command](args)
-    except (ResidueLabError, ValueError, OSError) as exc:
+    except (ResidueLabError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

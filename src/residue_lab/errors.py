@@ -17,10 +17,6 @@ class PatternTooLong(ResidueLabError):
     """Pattern length exceeds p - 1."""
 
 
-class NotIntegral(ResidueLabError):
-    """An exact integer division has a remainder."""
-
-
 class SingularCurve(ResidueLabError):
     """The defining polynomial is not squarefree mod p (bad reduction)."""
 

@@ -7,15 +7,17 @@ the full Legendre-symbol table chi for one odd prime.  The table costs O(p)
 once and turns each square-root count into a single array lookup, which is
 what makes the O(p^2) surface kernels feasible.
 
-A loop over primes builds its contexts in one ContextArena, whose buffers
-are sized for the largest p so far and refilled from prime to prime
-instead of being allocated and faulted in afresh.  Building the next
-context makes the previous one stale: reading its tables raises
-StaleContext rather than returning the new prime's data.
+Every context keeps its tables in a ContextArena.  A loop over primes
+builds its contexts in one arena, whose buffers are sized for the largest
+p so far and refilled from prime to prime instead of being allocated and
+faulted in afresh; a context built alone gets an arena of its own.
+Building the next context in an arena makes the previous one stale:
+reading its tables raises StaleContext rather than returning the new
+prime's data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,54 +113,41 @@ class ContextArena:
         self.chi = np.empty(p, dtype=np.int8)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FieldContext:
     """Immutable arithmetic context for one odd prime p.
 
     Attributes:
         p: the prime.
         k: (p - 1) // 4 when p = 4k + 1, else None.
-        chi: int8 array, chi[a] = Legendre symbol (a/p) in {-1, 0, +1}.
         delta: the smallest quadratic non-residue in 1..p-1.
+        index: read-only int64 array, index[i] = i for i in 0..p-1.
+        chi: int8 array, chi[a] = Legendre symbol (a/p) in {-1, 0, +1}.
         root_counts: int64 array, root_counts[t] = #{y : y^2 = t mod p}.
         squares: int64 array, squares[i] = i^2 mod p.
-        index: read-only int64 array, index[i] = i for i in 0..p-1.
 
-    A context built in a ContextArena reads its three tables from the
-    arena's buffers; once the arena builds another context, reading any of
-    them raises StaleContext.  `index` never changes, so it never goes
-    stale.
+    The three tables are views of the buffers of the arena the context was
+    built in; once that arena builds another context, reading any of them
+    raises StaleContext.  `index` never changes, so it never goes stale.
     """
 
-    __slots__ = ("p", "k", "delta", "index", "_chi", "_root_counts", "_squares",
-                 "_arena", "_generation")
+    p: int
+    k: int | None
+    delta: int
+    index: np.ndarray = field(repr=False)
+    _tables: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    _arena: ContextArena = field(repr=False)
+    _generation: int = field(repr=False)
 
-    def __init__(self, p, k, chi, delta, root_counts, squares, index, arena=None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_chi", chi)
-        object.__setattr__(self, "_root_counts", root_counts)
-        object.__setattr__(self, "_squares", squares)
-        object.__setattr__(self, "_arena", arena)
-        object.__setattr__(self, "_generation",
-                           None if arena is None else arena.generation)
-
-    def _current(self, table: np.ndarray) -> np.ndarray:
-        if self._arena is not None and self._arena.generation != self._generation:
+    def _table(self, i: int) -> np.ndarray:
+        if self._arena.generation != self._generation:
             raise StaleContext(f"tables of the context for p={self.p} were read "
                                f"after its arena built another context")
-        return table
+        return self._tables[i]
 
-    chi = property(lambda self: self._current(self._chi))
-    root_counts = property(lambda self: self._current(self._root_counts))
-    squares = property(lambda self: self._current(self._squares))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldContext is immutable")
-
-    def __repr__(self):
-        return f"FieldContext(p={self.p})"
+    chi = property(lambda self: self._table(0))
+    root_counts = property(lambda self: self._table(1))
+    squares = property(lambda self: self._table(2))
 
 
 def build_context(p: int, counting_oracle: bool = False,
@@ -169,9 +158,9 @@ def build_context(p: int, counting_oracle: bool = False,
     y^2 over all y instead of being derived from chi, giving an independent
     path through every counting kernel.
 
-    With an arena the tables are written into its buffers, and every
-    context built there before goes stale; without one they are fresh
-    arrays.
+    The tables are written into the buffers of `arena`, and every context
+    built there before goes stale; without an arena the context gets one
+    of its own.
 
     Raises NotOddPrime for anything that is not an odd prime.
     """
@@ -179,11 +168,9 @@ def build_context(p: int, counting_oracle: bool = False,
         raise NotOddPrime(f"{p} is not an odd prime")
     if arena is None:
         arena = ContextArena(p)
-        owner = None
     else:
         arena.reserve(p)
-        arena.generation += 1
-        owner = arena
+    arena.generation += 1
     idx = arena.index[:p]
     squares, root_counts, chi = (arena.squares[:p], arena.root_counts[:p],
                                  arena.chi[:p])
@@ -203,7 +190,8 @@ def build_context(p: int, counting_oracle: bool = False,
     for table in (chi, root_counts, squares):
         table.flags.writeable = False  # the views; the arena's buffers stay writable
     k = (p - 1) // 4 if p % 4 == 1 else None
-    return FieldContext(p, k, chi, delta, root_counts, squares, idx, owner)
+    return FieldContext(p, k, delta, idx, (chi, root_counts, squares), arena,
+                        arena.generation)
 
 
 def primes_in(lo: int, hi: int, residue_filter: tuple[int, int] | None = None) -> list[int]:

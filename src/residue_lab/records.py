@@ -9,9 +9,7 @@ class VerificationRecord:
     """Outcome of one named identity at one prime.
 
     The record passes exactly when expected == actual; `detail` carries
-    informational values that are reported but not gated.  `elapsed` is
-    kept in memory for the run manifest and never serialized, so output
-    streams stay byte-identical across runs.
+    informational values that are reported but not gated.
     """
 
     p: int
@@ -19,7 +17,6 @@ class VerificationRecord:
     expected: object
     actual: object
     detail: dict | None = None
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:

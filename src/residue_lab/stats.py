@@ -17,6 +17,8 @@ from .modarith import ContextArena, build_context, primes_in
 from . import curves
 
 HISTOGRAM_BINS = 40
+# The least bound st_report accepts; the CLI checks it before opening --out.
+ST_MIN_BOUND = 100
 
 # Models per curve id; every registered model has good reduction at all
 # p >= 5.
@@ -117,8 +119,8 @@ def _histogram(values) -> list[tuple[float, float, int]]:
 def st_report(curve: str, bound: int,
               residue_filter: tuple[int, int] | None = None) -> DistributionReport:
     """Full distribution report for one curve over primes up to bound."""
-    if bound < 100:
-        raise ValueError("need bound >= 100")
+    if bound < ST_MIN_BOUND:
+        raise ValueError(f"need bound >= {ST_MIN_BOUND}")
     coll = collect_traces(curve, bound, residue_filter)
     ts = [s.t for s in coll.samples]
     return DistributionReport(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from residue_lab import cli, k3, stats
+from residue_lab import claims, cli, k3, modarith, stats
 
 CLI = [sys.executable, "-m", "residue_lab.cli"]
 
@@ -295,6 +295,47 @@ def test_invariant_violation_exits_3(monkeypatch, capsys, two_cpus, jobs):
     assert code == 3
     assert "internal invariant violated: Hasse bound violated at p=" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_divisibility_exits_3(monkeypatch, capsys, two_cpus, jobs):
+    # with J = 3, (J^2 - 4) / 32 is no integer: a broken invariant, not a
+    # usage error
+    monkeypatch.setattr(claims, "jacobsthal", lambda ctx: 3)
+    code = cli.main(["verify", "goncharova1", "--max-p", "13", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: (3^2 - 4) is not divisible by 32" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    # the tables of this prime would take terabytes; the allocation is
+    # stubbed, because a real request can exhaust an overcommitting host
+    p = 1000000000039
+    assert modarith.is_prime(p)
+
+    def refuse(self, size):
+        raise MemoryError(f"Unable to allocate tables for p={size}")
+
+    monkeypatch.setattr(modarith.ContextArena, "_allocate", refuse)
+    assert cli.main(["word", "-p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: MemoryError: Unable to allocate tables for p={p}\n"
+
+
+def test_usage_error_leaves_out_untouched(monkeypatch, capsys, tmp_path):
+    def no_work(*args):
+        raise AssertionError("traces collected for a bound below the minimum")
+
+    monkeypatch.setattr(stats, "collect_traces", no_work)
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"bin_lo,bin_hi,count,density\n")
+    code = cli.main(["satotate", "e", "--max-p", "50", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ValueError: need --max-p >= 100\n"
+    assert out.read_bytes() == b"bin_lo,bin_hi,count,density\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -11,13 +11,15 @@ modules also hold no closed form, claim runner or record type, so none of
 them can call the identity it is checked against.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
 from residue_lab import claims, curves, k3, modarith, patterns, quadgraphs, records
 from residue_lab.curves import WEIERSTRASS_CM, HyperellipticSpec, affine_count, edwards_affine
-from residue_lab.modarith import FieldContext, build_context, cm_decompose
+from residue_lab.modarith import ContextArena, FieldContext, build_context, cm_decompose
 from residue_lab.patterns import (count_pattern, jacobsthal, pattern_census,
                                   pattern_counts_charsum, pattern_curve_count)
 
@@ -30,8 +32,10 @@ class RecordingContext(FieldContext):
     __slots__ = ("reads",)
 
     def __init__(self, ctx: FieldContext):
-        super().__init__(ctx.p, ctx.k, ctx.chi, ctx.delta, ctx.root_counts,
-                         ctx.squares, ctx.index)
+        # the tables are taken through the properties; the copy's own arena
+        # never builds another context, so the copy never goes stale
+        super().__init__(ctx.p, ctx.k, ctx.delta, ctx.index,
+                         (ctx.chi, ctx.root_counts, ctx.squares), ContextArena(), 0)
         object.__setattr__(self, "reads", set())
 
     def __getattribute__(self, name):
@@ -97,6 +101,16 @@ def test_recording_context_sees_every_field():
     for name in _FIELDS:
         getattr(ctx, name)
     assert ctx.reads == set(_FIELDS)
+
+
+def test_only_modarith_reads_the_raw_tables():
+    # the stale check and this audit each see a table read only when it
+    # goes through the chi, root_counts or squares property
+    files = [*Path(modarith.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    readers = {path.name for path in files
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_tables"}
+    assert readers == {"modarith.py"}
 
 
 @pytest.mark.parametrize("kernel", [k3, curves, quadgraphs], ids=lambda m: m.__name__)

@@ -136,7 +136,7 @@ def test_stale_context_raises():
     assert isinstance(StaleContext("x"), ArithmeticError)  # the CLI's exit 3
     fresh = build_context(17)
     build_context(19)
-    assert int(fresh.chi.sum()) == 0  # a context outside any arena never goes stale
+    assert int(fresh.chi.sum()) == 0  # a context built alone has an arena of its own
 
 
 def test_index_rejects_writes():

@@ -9,7 +9,6 @@ import brute
 from residue_lab import quadgraphs
 from residue_lab import (
     GraphClass,
-    NotIntegral,
     WrongResidueClass,
     build_context,
     count_graph_classes,
@@ -156,7 +155,7 @@ def test_d_of_J():
     assert d_of_J(2) == 0
     assert d_of_J(-2) == 0
     assert d_of_J(10) == 3
-    with pytest.raises(NotIntegral):
+    with pytest.raises(ArithmeticError, match=r"\(4\^2 - 4\) is not divisible by 32"):
         d_of_J(4)
 
 
