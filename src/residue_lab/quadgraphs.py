@@ -77,6 +77,10 @@ def _edge_key_class(e: int, key: int) -> GraphClass:
     return _CODE_TO_CLASS[sum(5 ** d for d in deg)]
 
 
+# _EDGE_KEY_CLASS[e][key] = _edge_key_class(e, key) for every edge key
+_EDGE_KEY_CLASS = [[_edge_key_class(e, key) for key in range(_OFF_GRID)] for e in (0, 1)]
+
+
 def _pair_tally(is_r: np.ndarray, a: int) -> np.ndarray:
     """hist[key] = number of ordered pairs (b, c), b != c, both outside
     {0, a}, whose quadruple {0, a, b, c} has edge key `key`."""
@@ -123,9 +127,8 @@ def count_graph_classes(ctx: FieldContext) -> dict[GraphClass, int]:
     delta = int(np.argmax(ctx.root_counts == 0))
     tally = dict.fromkeys(_CODE_TO_CLASS.values(), 0)
     for a in (1, delta):
-        e = int(is_r[a])
-        for key, n in enumerate(_pair_tally(is_r, a).tolist()):
-            tally[_edge_key_class(e, key)] += n
+        for cls, n in zip(_EDGE_KEY_CLASS[is_r[a]], _pair_tally(is_r, a).tolist()):
+            tally[cls] += n
     out = {}
     for cls, n in tally.items():
         weighted = (p - 1) // 2 * n

@@ -1,9 +1,13 @@
 """Slow reference implementations used by the tests.
 
-Everything here works from Euler-criterion Legendre symbols, independent
-of the package's chi tables and kernels.  All of it is pure Python nested
-loops except `count_classes_enumerated`, a numpy enumeration of every
-quadruple that reaches the primes the pure-Python count cannot.
+Everything here works from Euler-criterion Legendre symbols or from
+squares tallied over all x, independent of the package's chi tables and
+kernels.  All of it is pure Python nested loops except three numpy scans
+that reach the primes the pure-Python counts cannot:
+`count_classes_enumerated`, an enumeration of every quadruple, and
+`m_scan_square_classes` and `count_S_square_classes`, row-by-row scans of
+the grid of square classes that `k3` ran before it summed M over orbits
+and S by convolution.
 """
 
 from itertools import combinations, product
@@ -122,6 +126,43 @@ def edwards_affine(p):
 def count_Mp(p):
     return sum(nroots((x * x * y * y + 1) * (x * x + y * y), p)
                for x, y in product(range(p), repeat=2))
+
+
+def _square_classes(p):
+    """Distinct values u of x^2 mod p, how often each occurs, and the
+    root-count table rc[t] = #{y : y^2 = t}, tallied over all x."""
+    rc = np.bincount(np.arange(p, dtype=np.int64) ** 2 % p, minlength=p)
+    u = np.flatnonzero(rc)
+    return u, rc[u], rc
+
+
+def m_scan_square_classes(p):
+    """(M, #{(x, y) : F = 0}) for F = (x^2 y^2 + 1)(x^2 + y^2), over the
+    upper triangle of the grid of square classes (x^2, y^2), a row at a
+    time: F is symmetric, so each cell off the diagonal stands for two."""
+    u, w, rc = _square_classes(p)
+    m = z0 = 0
+    for i, (a, wa) in enumerate(zip(u, w)):
+        f = (a * u[i:] + 1) * (a + u[i:]) % p  # below 2p^3, no overflow
+        col = 2 * w[i:]
+        col[0] = wa
+        m += int(wa) * int(rc[f] @ col)
+        z0 += int(wa) * int((f == 0) @ col)
+    return m, z0
+
+
+def count_S_square_classes(p):
+    """#S over rows a = y12^2 and columns b = y23^2 of the grid of square
+    classes: y24 has rc[1 - a] choices, y34 rc[1 - a - b] and y13
+    rc[a + b]; rows with no choice of y24 are skipped."""
+    u, w, rc = _square_classes(p)
+    s = 0
+    for a, wa in zip(u, w):
+        outer = rc[(1 - a) % p]
+        if outer:
+            t = (a + u) % p
+            s += int(wa * outer) * int((rc[(1 - t) % p] * rc[t]) @ w)
+    return s
 
 
 def count_S_5loop(p):

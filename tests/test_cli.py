@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from residue_lab import claims, cli, k3, modarith, stats
@@ -294,6 +295,25 @@ def test_invariant_violation_exits_3(monkeypatch, capsys, two_cpus, jobs):
     err = capsys.readouterr().err
     assert code == 3
     assert "internal invariant violated: Hasse bound violated at p=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fft_rounding_residue_exits_3(monkeypatch, capsys, two_cpus, jobs):
+    # a convolution entry a quarter or more off an integer is a fault in
+    # the transform, not rounding: count_S must not round it away
+    irfft = np.fft.irfft
+
+    def off_by_three_tenths(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+    code = cli.main(["verify", "formula2", "--max-p", "30", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: FFT convolution off an integer by" in err
     assert "Traceback" not in err
 
 

@@ -46,7 +46,7 @@ class RecordingContext(FieldContext):
 
 _KERNEL_READS = {
     "k3.count_Mp": (k3.count_Mp, {"squares", "root_counts"}),
-    "k3.count_S": (k3.count_S, {"squares", "root_counts"}),
+    "k3.count_S": (k3.count_S, {"root_counts"}),
     "k3._xprime_scan": (k3._xprime_scan, {"squares", "root_counts"}),
     "k3._locus_X_count": (k3._locus_X_count, {"squares", "root_counts"}),
     "k3._locus_S_count": (k3._locus_S_count, {"squares", "root_counts"}),

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from residue_lab import (
     jacobsthal,
     primes_in,
 )
-from residue_lab.claims import CLAIMS
+from residue_lab.claims import CLAIMS, run_claim
 
 
 def test_count_Mp_frozen():
@@ -97,6 +98,61 @@ def test_kernels_match_brute_at_random_primes(p, oracle):
     assert count_Xprime(ctx) == brute.xprime_counts(p)
     if p <= 23:
         assert count_S(ctx) == brute.count_S_rootloop(p)
+
+
+_PIN_PRIMES = primes_in(3, 1999) + [10009, 10093, 19997]  # both classes mod 4
+
+
+def _assert_kernels_match_square_class_scans(p):
+    m, z0 = brute.m_scan_square_classes(p)
+    s = brute.count_S_square_classes(p)
+    for oracle in (False, True):
+        ctx = build_context(p, counting_oracle=oracle)
+        assert k3._m_scan(ctx) == (m, z0), (p, oracle)
+        assert count_S(ctx) == s, (p, oracle)
+
+
+def test_orbit_m_and_fft_s_match_square_class_scans():
+    for p in _PIN_PRIMES:
+        _assert_kernels_match_square_class_scans(p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.sampled_from(primes_in(2000, 6000)))
+def test_orbit_m_and_fft_s_match_square_class_scans_at_random_primes(p):
+    _assert_kernels_match_square_class_scans(p)
+
+
+def test_inverses_by_square_and_multiply():
+    for p in (3, 5, 13, 10007):
+        u = np.arange(1, p, dtype=np.int64)
+        assert (k3._inverses(u, p) * u % p == 1).all(), p
+
+
+def test_count_S_refuses_primes_past_its_exactness_limit(monkeypatch):
+    monkeypatch.setattr(k3, "_S_MAX_P", 13)
+    assert count_S(build_context(11)) == brute.count_S_rootloop(11)
+    with pytest.raises(ValueError):
+        count_S(build_context(13))
+
+
+def test_spot_primes_past_the_acceptance_range():
+    for p in (99989, 999961):
+        assert run_claim("formula2", p).passed, p
+    assert run_claim("identity5", 30011).passed
+
+
+def test_count_S_memory_bounded_by_the_context_tables():
+    p = 999961
+    ctx = build_context(p)
+    tables = ctx.chi.nbytes + ctx.root_counts.nbytes + ctx.squares.nbytes  # 17p bytes
+    tracemalloc.start()
+    try:
+        count_S(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tables, peak
 
 
 def _kernel_values(p):
