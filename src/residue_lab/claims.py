@@ -4,13 +4,13 @@ check they make.
 The kernel modules (`k3`, `curves`, `quadgraphs`) only count; the closed
 forms and tables their counts are checked against live here, next to one
 `_run_<claim>` per claim, so no kernel imports the identity it is tested
-by.  Each claim owns its eligible residue class and minimum prime:
-`eligible_primes` lists only those primes and `run_claim` refuses any
-other, so no runner checks them again; a user filter can only restrict
-the set further.  Runners return one VerificationRecord per prime, which
-passes when expected == actual.  A run over many primes builds their
-contexts in one ContextArena; no context outlives the claim run that
-built it.
+by.  Each claim owns its eligible residue class and minimum prime, and
+`ClaimDef.applies` states that rule once: `eligible_primes` lists only
+those primes and `run_claim` refuses any other, so no runner checks them
+again; a user filter can only restrict the set further.  Runners return
+one VerificationRecord per prime, which passes when expected == actual.
+Each task of primes builds its contexts in one ContextArena; no context
+outlives the claim run that built it.
 """
 
 import math
@@ -285,6 +285,11 @@ class ClaimDef:
     run: Callable[[FieldContext], VerificationRecord]
     description: str
 
+    def applies(self, p: int) -> bool:
+        """Whether the claim applies at p: its one eligibility rule."""
+        return p >= self.min_p and (self.residue is None
+                                    or p % self.residue[1] == self.residue[0])
+
 
 CLAIMS = {c.name: c for c in [
     ClaimDef("formula2", (1, 4), 5, _run_formula2,
@@ -317,26 +322,22 @@ CLAIMS = {c.name: c for c in [
 def eligible_primes(claim: ClaimDef, min_p: int, max_p: int,
                     user_filter: tuple[int, int] | None) -> list[int]:
     """Primes the claim applies to in [min_p, max_p], after the user filter."""
-    lo = max(min_p, claim.min_p)
+    lo = max(min_p, 2)  # the least prime; the claim decides the rest
     if lo > max_p:
         return []
-    primes = primes_in(lo, max_p, claim.residue)
-    if user_filter is not None:
-        r, m = user_filter
-        primes = [p for p in primes if p % m == r % m]
-    return primes
+    r, m = user_filter or (0, 1)  # every p is 0 mod 1
+    return [p for p in primes_in(lo, max_p) if claim.applies(p) and p % m == r % m]
 
 
 def run_claim(claim_name: str, p: int, oracle: bool = False,
               arena: ContextArena | None = None) -> VerificationRecord:
     """Build the context for p, in `arena` when given, and run one claim.
 
-    Raises WrongResidueClass for a prime below the claim's minimum or
-    outside its residue class: the runners themselves do not check.
+    Raises WrongResidueClass where the claim does not apply (below its
+    minimum or outside its residue class): the runners do not check.
     """
     claim = CLAIMS[claim_name]
-    if p < claim.min_p or (claim.residue is not None
-                           and p % claim.residue[1] != claim.residue[0]):
+    if not claim.applies(p):
         raise WrongResidueClass(f"claim {claim_name} does not apply at p={p}")
     return claim.run(build_context(p, counting_oracle=oracle, arena=arena))
 
@@ -344,5 +345,5 @@ def run_claim(claim_name: str, p: int, oracle: bool = False,
 def _verify_worker(args: tuple[str, list[int], bool]) -> list[dict]:
     """Records of one claim at ascending primes, all built in one arena."""
     claim_name, primes, oracle = args
-    arena = ContextArena(max(primes, default=0))
+    arena = ContextArena(max(primes))
     return [run_claim(claim_name, p, oracle, arena).to_obj() for p in primes]

@@ -7,16 +7,16 @@ internal invariant violated (an ArithmeticError from a consistency check
 such as the Hasse bound or a divisibility test, or a read of a stale
 context: a defect in the library, not a failing claim).  Arguments are
 checked before --out is opened, so a usage error leaves it untouched.
-Verification streams are JSONL (default) or CSV with fixed key order;
-records are emitted in ascending p regardless of --jobs, and nothing
-time-dependent is written to stdout, so outputs are byte-identical across
-runs.  The run manifest goes to stderr.
+Verification streams are JSONL (default) or CSV with fixed key order, in
+ascending p whatever --jobs, written as each task of primes finishes: a
+run stopped by exit 2 or 3 leaves the complete records written before
+it.  Nothing time-dependent goes to stdout, so outputs are byte-identical
+across runs.  The run manifest goes to stderr.
 """
 
 import argparse
 import contextlib
 import csv
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,11 +26,15 @@ from .errors import ResidueLabError
 from .modarith import build_context, cm_decompose
 from .patterns import count_pattern, jacobsthal, residue_word
 from .quadgraphs import GraphClass, count_graph_classes
-from .records import RunManifest
+from .records import RunManifest, compact_json
 from .claims import CLAIMS, _verify_worker, eligible_primes
 from . import curves, k3, stats
 
 _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
+
+# `verify` cuts its primes into tasks of len(primes) // _TASKS (at least
+# one), whatever --jobs, and writes each task's records as it returns.
+_TASKS = 16
 
 # The kernel behind each `count` object but `pattern` and `graph`, which
 # take an argument of their own.
@@ -145,24 +149,20 @@ def _cmd_count(args) -> int:
         obj["count"] = counts[GraphClass(args.graph_class)]
     else:
         obj["count"] = _COUNT_KERNELS[args.object](ctx)
-    print(json.dumps(obj, separators=(",", ":")))
+    print(compact_json(obj))
     return 0
 
 
-def _emit_records(records: list[dict], fmt: str, fh) -> None:
+def _record_writer(fmt: str, fh):
+    """A function that writes one record to fh as a line of `fmt`; the CSV
+    header is written at once."""
     if fmt == "jsonl":
-        fh.write("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
-        return
+        return lambda r: fh.write(compact_json(r) + "\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["p", "claim", "expected", "actual", "pass", "detail"])
-    for r in records:
-        writer.writerow([
-            r["p"], r["claim"],
-            json.dumps(r["expected"], separators=(",", ":")),
-            json.dumps(r["actual"], separators=(",", ":")),
-            str(r["pass"]).lower(),
-            json.dumps(r.get("detail"), separators=(",", ":")),
-        ])
+    return lambda r: writer.writerow([
+        r["p"], r["claim"], compact_json(r["expected"]), compact_json(r["actual"]),
+        str(r["pass"]).lower(), compact_json(r.get("detail"))])
 
 
 def _cmd_verify(args) -> int:
@@ -174,25 +174,29 @@ def _cmd_verify(args) -> int:
         command=" ".join(args.argv),
         claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=args.jobs,
         started=datetime.now(timezone.utc).isoformat())
+    chunk = max(1, len(primes) // _TASKS)
+    tasks = [(args.claim, primes[i:i + chunk], args.oracle)
+             for i in range(0, len(primes), chunk)]
     # the pool forks all of its workers at the first submit, so it gets no
     # more than can be used; the manifest keeps the requested count
-    workers = min(args.jobs, _usable_cpus())
-    with _open_out(args.out, sys.stdout) as fh:
-        if workers > 1 and len(primes) > 1:
-            chunk = max(1, len(primes) // (8 * workers))
-            tasks = [(args.claim, primes[i:i + chunk], args.oracle)
-                     for i in range(0, len(primes), chunk)]
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                records = [r for rs in pool.map(_verify_worker, tasks) for r in rs]
-        else:
-            records = _verify_worker((args.claim, primes, args.oracle))
-        _emit_records(records, args.format, fh)
+    workers = min(args.jobs, _usable_cpus(), len(tasks))
+    failures = []
+    with (_open_out(args.out, sys.stdout) as fh,
+          (ProcessPoolExecutor(max_workers=workers) if workers > 1
+           else contextlib.nullcontext()) as pool):
+        write = _record_writer(args.format, fh)
+        # either map yields the tasks' records in task order, so in ascending p
+        for records in (pool.map if pool else map)(_verify_worker, tasks):
+            for r in records:
+                write(r)
+                if not r["pass"]:
+                    failures.append(r["p"])
+            manifest.total += len(records)
+            fh.flush()
     manifest.finished = datetime.now(timezone.utc).isoformat()
-    manifest.total = len(records)
-    manifest.passed = sum(1 for r in records if r["pass"])
-    manifest.failed = manifest.total - manifest.passed
+    manifest.failed = len(failures)
+    manifest.passed = manifest.total - manifest.failed
     print(manifest.to_json(), file=sys.stderr)
-    failures = [r["p"] for r in records if not r["pass"]]
     if failures:
         print(f"FAILED {args.claim} at p = {failures}", file=sys.stderr)
         return 1
@@ -220,7 +224,7 @@ def _cmd_satotate(args) -> int:
         "ks_uniform": report.ks_uniform,
         "ks_semicircle": report.ks_semicircle,
     }
-    print(json.dumps(obj, separators=(",", ":")))
+    print(compact_json(obj))
     return 0
 
 
@@ -228,7 +232,7 @@ def _cmd_cm(args) -> int:
     gauss, mod4 = cm_decompose(build_context(args.p))
     obj = {"p": args.p, "gauss": {"a": gauss.a, "b": gauss.b},
            "jacobsthal": {"a": mod4.a, "b": mod4.b}}
-    print(json.dumps(obj, separators=(",", ":")))
+    print(compact_json(obj))
     return 0
 
 
@@ -240,7 +244,7 @@ def _cmd_quartic_tables(args) -> int:
                "zero_locus": rec.zero_locus_count,
                "sum": rec.infinity_count + rec.zero_locus_count,
                "trace": rec.trace}
-        print(json.dumps(obj, separators=(",", ":")))
+        print(compact_json(obj))
     return 0
 
 

@@ -99,25 +99,6 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(table, index, out=out, mode="clip")
 
 
-def _row_sums(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-              table: np.ndarray, cell) -> np.ndarray:
-    """sums[i] = sum_j weights[j] * table[cell(rows[i], cols[j])], in
-    blocks of about _TILE_CELLS cells; cell(a, b, out, raw) gets a column of
-    rows and the row of cols, writes the block's table indices into out and
-    may use raw as scratch."""
-    step = max(1, _TILE_CELLS // len(cols))
-    index_buf = np.empty((min(step, len(rows)), len(cols)), dtype=np.int64)
-    value_buf = np.empty_like(index_buf)
-    sums = np.empty(len(rows), dtype=np.int64)
-    for i in range(0, len(rows), step):
-        a = rows[i:i + step, None]
-        # the values are gathered only after the indices are done
-        index = cell(a, cols, index_buf[:len(a)], value_buf[:len(a)])
-        values = _gather(table, index, value_buf[:len(a)])
-        np.matmul(values, weights, out=sums[i:i + step])
-    return sums
-
-
 def _inverses(u: np.ndarray, p: int) -> np.ndarray:
     """u^(p-2) mod p elementwise, by square-and-multiply: the inverse of
     every entry of u, all nonzero mod p."""
@@ -271,11 +252,22 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     rc = ctx.root_counts
     t2, t_weight = _classes(sq)
     q, q_weight = _classes(sq[sq])  # classes of x1^4; x1 = 0 alone gives 0
+    cols, weights = q[1:], q_weight[1:]
     # a row's weighted root-count sum over x1 != 0 is at most 2(p - 1)
     base = 2 * p + 1
     table = _zero_flagged(rc, base)
-    sums = _row_sums(t2, q[1:], q_weight[1:], table,
-                     lambda a, b, out, raw: _product_cell(a, b, a + 1, p, out, raw))
+    # sums[i] = sum_j weights[j] * table[(t2[i] cols[j] + 1)(t2[i] + 1) mod p],
+    # over rows of t2 in blocks of about _TILE_CELLS cells
+    step = max(1, _TILE_CELLS // len(cols))
+    index_buf = np.empty((min(step, len(t2)), len(cols)), dtype=np.int64)
+    value_buf = np.empty_like(index_buf)
+    sums = np.empty(len(t2), dtype=np.int64)
+    for i in range(0, len(t2), step):
+        a = t2[i:i + step, None]
+        index = _product_cell(a, cols, a + 1, p, index_buf[:len(a)], value_buf[:len(a)])
+        # the values are gathered only after the indices are done
+        values = _gather(table, index, value_buf[:len(a)])
+        np.matmul(values, weights, out=sums[i:i + step])
     zeros, roots = np.divmod(sums, base)
     # y1 = 0 happens exactly where the right side vanishes
     per_class = np.zeros(p, dtype=np.int64)

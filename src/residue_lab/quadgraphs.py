@@ -57,9 +57,8 @@ DEGREE_KEY = {
     GraphClass.K4: (3, 3, 3, 3),
 }
 
-# Packed key: sum over vertices of 5^degree encodes the degree multiset
-# in one small integer (each degree count is at most 4 < 5).
-_CODE_TO_CLASS = {sum(5 ** d for d in key): cls for cls, key in DEGREE_KEY.items()}
+# The class of each sorted degree multiset: the inverse of DEGREE_KEY.
+_DEGREE_CLASS = {key: cls for cls, key in DEGREE_KEY.items()}
 
 # Cells of the (b, c) grid classified per block; bounds every temporary.
 _TILE_CELLS = 1 << 14
@@ -74,7 +73,7 @@ def _edge_key_class(e: int, key: int) -> GraphClass:
     packed as key = [0-c] + 2[a-c] + 4[0-b] + 8[a-b] + 16[b-c]."""
     c0, ca, b0, ba, bc = (key >> bit & 1 for bit in range(5))
     deg = (e + b0 + c0, e + ba + ca, b0 + ba + bc, c0 + ca + bc)
-    return _CODE_TO_CLASS[sum(5 ** d for d in deg)]
+    return _DEGREE_CLASS[tuple(sorted(deg))]
 
 
 # _EDGE_KEY_CLASS[e][key] = _edge_key_class(e, key) for every edge key
@@ -125,7 +124,7 @@ def count_graph_classes(ctx: FieldContext) -> dict[GraphClass, int]:
     p = ctx.p
     is_r = (ctx.root_counts == 2).astype(np.intp)
     delta = int(np.argmax(ctx.root_counts == 0))
-    tally = dict.fromkeys(_CODE_TO_CLASS.values(), 0)
+    tally = dict.fromkeys(GraphClass, 0)
     for a in (1, delta):
         for cls, n in zip(_EDGE_KEY_CLASS[is_r[a]], _pair_tally(is_r, a).tolist()):
             tally[cls] += n

@@ -3,6 +3,9 @@
 import json
 from dataclasses import asdict, dataclass
 
+# The one encoder of every JSON line the package writes, without spaces.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass
 class VerificationRecord:
@@ -51,4 +54,4 @@ class RunManifest:
     failed: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return compact_json(asdict(self))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -375,6 +376,49 @@ def test_stale_context_read_exits_3(monkeypatch, capsys, two_cpus, jobs):
     assert code == 3
     assert "internal invariant violated: tables of the context for p=5" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fault_keeps_the_records_written_before_it(monkeypatch, capsys, tmp_path,
+                                                   two_cpus, jobs, to_file):
+    # records are written as each task of primes returns, so a fault at the
+    # last eligible prime leaves the complete records of every task before it
+    argv = ["verify", "identity5", "--max-p", "200"]
+    assert cli.main([*argv, "--jobs", "1"]) == 0
+    full = capsys.readouterr().out
+    claim = claims.CLAIMS["identity5"]
+    last = claims.eligible_primes(claim, 3, 200, None)[-1]
+
+    def faulty(ctx):
+        if ctx.p == last:
+            raise ArithmeticError(f"planted fault at p={ctx.p}")
+        return claim.run(ctx)
+
+    monkeypatch.setitem(claims.CLAIMS, "identity5", dataclasses.replace(claim, run=faulty))
+    out = tmp_path / "records.jsonl"
+    extra = ["--out", str(out)] if to_file else []
+    assert cli.main([*argv, "--jobs", jobs, *extra]) == 3
+    captured = capsys.readouterr()
+    assert f"internal invariant violated: planted fault at p={last}" in captured.err
+    written = out.read_text() if to_file else captured.out
+    assert written and full.startswith(written) and written.endswith("\n")
+    primes = [json.loads(line)["p"] for line in written.splitlines()]
+    assert primes == sorted(primes) and primes[-1] < last
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "weil_bound", "--max-p", "13"],           # below the claim's minimum
+    ["verify", "identity5", "--min-p", "1", "--max-p", "2"],  # no odd prime
+])
+@pytest.mark.parametrize("fmt, out", [
+    ("jsonl", ""), ("csv", "p,claim,expected,actual,pass,detail\n")])
+def test_verify_empty_eligible_set(capsys, argv, fmt, out):
+    assert cli.main([*argv, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out
+    manifest = json.loads(captured.err.splitlines()[0])
+    assert manifest["total"] == manifest["failed"] == 0
 
 
 @pytest.mark.parametrize("claim, code, digest", [
