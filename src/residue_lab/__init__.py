@@ -56,6 +56,6 @@ from .stats import (
     ks_distance,
     st_report,
 )
-from .records import RunManifest, VerificationRecord
+from .claims import VerificationRecord
 
 __version__ = "0.1.0"

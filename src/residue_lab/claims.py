@@ -8,7 +8,8 @@ by.  Each claim owns its eligible residue class and minimum prime, and
 `ClaimDef.applies` states that rule once: `eligible_primes` lists only
 those primes and `run_claim` refuses any other, so no runner checks them
 again; a user filter can only restrict the set further.  Runners return
-one VerificationRecord per prime, which passes when expected == actual.
+one VerificationRecord per prime, the record type the CLI writes, which
+passes when expected == actual.
 Each task of primes builds its contexts in one ContextArena; no context
 outlives the claim run that built it.
 """
@@ -25,8 +26,36 @@ from .modarith import (ContextArena, FieldContext, build_context, cm_decompose,
                        primes_in, reduce_mod)
 from .patterns import jacobsthal, pattern_census, pattern_counts_charsum
 from .quadgraphs import GraphClass, count_graph_classes
-from .records import VerificationRecord
 from . import curves, k3
+
+
+@dataclass
+class VerificationRecord:
+    """Outcome of one named identity at one prime.
+
+    The record passes exactly when expected == actual; `detail` carries
+    informational values that are reported but not gated.
+    """
+
+    p: int
+    claim: str
+    expected: object
+    actual: object
+    detail: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
+
+    def to_obj(self) -> dict:
+        obj = {"p": self.p, "claim": self.claim, "expected": self.expected,
+               "actual": self.actual, "pass": self.passed}
+        if self.detail is not None:
+            obj["detail"] = self.detail
+        return obj
+
+
+# ------------------------------------------------------------ closed forms
 
 # Expected (infinity, zero-locus, sum) per quartic twist variant, after
 # reduction of the prime mod 8; the trace column is the sign pattern
@@ -34,8 +63,6 @@ from . import curves, k3
 QUARTIC_TABLE_PM1 = {1: (2, 6, 8), 2: (0, 4, 4), 3: (2, 2, 4), 4: (0, 0, 0)}
 QUARTIC_TABLE_PM3 = {1: (2, 2, 4), 2: (0, 0, 0), 3: (2, 6, 8), 4: (0, 4, 4)}
 
-
-# ------------------------------------------------------------ closed forms
 
 def d_of_J(J: int) -> int:
     """(J^2 - 4) / 32, defined only when the division is exact."""
@@ -200,7 +227,7 @@ def _run_j_relations(ctx: FieldContext) -> VerificationRecord:
     whenever b = 2 mod 4, so at most one of them can satisfy it there.
     """
     J = jacobsthal(ctx)
-    projective = curves.affine_count(ctx, curves.WEIERSTRASS_CM) + 1
+    projective = k3.count_Np(ctx) + 1
     gauss, mod4 = cm_decompose(ctx)
     expected = {"curve_excess": J, "abs_2a": abs(J)}
     actual = {"curve_excess": projective - ctx.p - 1, "abs_2a": abs(2 * gauss.a)}
@@ -283,7 +310,6 @@ class ClaimDef:
     residue: tuple[int, int] | None  # (r, m) eligibility, None = all odd p
     min_p: int
     run: Callable[[FieldContext], VerificationRecord]
-    description: str
 
     def applies(self, p: int) -> bool:
         """Whether the claim applies at p: its one eligibility rule."""
@@ -292,30 +318,18 @@ class ClaimDef:
 
 
 CLAIMS = {c.name: c for c in [
-    ClaimDef("formula2", (1, 4), 5, _run_formula2,
-             "three-quadric surface count equals (p-1)^2 + J^2 + 4"),
-    ClaimDef("identity5", None, 3, _run_identity5,
-             "surface count equals (p+1)^2 + (N-p)^2 + 1"),
-    ClaimDef("goncharova1", (1, 4), 5, _run_goncharova1,
-             "closed form for the K4 quadruple count, plus class-total conservation"),
-    ClaimDef("tables", None, 5, _run_tables,
-             "quartic twist rows match the counts table for p mod 8"),
-    ClaimDef("fibration", (1, 4), 5, _run_fibration,
-             "chart identities: total, boundary, interior, per-fiber counts"),
-    ClaimDef("gauss_edwards", (1, 4), 5, _run_gauss_edwards,
-             "Edwards smooth count equals (a-1)^2 + b^2"),
-    ClaimDef("j_relations", (1, 4), 5, _run_j_relations,
-             "Jacobsthal sum vs curve count and CM decomposition"),
-    ClaimDef("bookkeeping", (1, 4), 5, _run_bookkeeping,
-             "surface difference M - S equals 4p - 3"),
-    ClaimDef("charsum_consistency", None, 3, _run_charsum_consistency,
-             "window scan equals character-sum expansion, lengths <= 5"),
-    ClaimDef("weil_bound", None, 17, _run_weil_bound,
-             "length-4 deviations within (11 sqrt p + 16)/16"),
-    ClaimDef("genus2", (1, 4), 5, _run_genus2,
-             "quintic involution permutes the point set"),
-    ClaimDef("cm_traces", None, 5, _run_cm_traces,
-             "trace relations among the five named curves"),
+    ClaimDef("formula2", (1, 4), 5, _run_formula2),
+    ClaimDef("identity5", None, 3, _run_identity5),
+    ClaimDef("goncharova1", (1, 4), 5, _run_goncharova1),
+    ClaimDef("tables", None, 5, _run_tables),
+    ClaimDef("fibration", (1, 4), 5, _run_fibration),
+    ClaimDef("gauss_edwards", (1, 4), 5, _run_gauss_edwards),
+    ClaimDef("j_relations", (1, 4), 5, _run_j_relations),
+    ClaimDef("bookkeeping", (1, 4), 5, _run_bookkeeping),
+    ClaimDef("charsum_consistency", None, 3, _run_charsum_consistency),
+    ClaimDef("weil_bound", None, 17, _run_weil_bound),
+    ClaimDef("genus2", (1, 4), 5, _run_genus2),
+    ClaimDef("cm_traces", None, 5, _run_cm_traces),
 ]}
 
 
@@ -325,8 +339,7 @@ def eligible_primes(claim: ClaimDef, min_p: int, max_p: int,
     lo = max(min_p, 2)  # the least prime; the claim decides the rest
     if lo > max_p:
         return []
-    r, m = user_filter or (0, 1)  # every p is 0 mod 1
-    return [p for p in primes_in(lo, max_p) if claim.applies(p) and p % m == r % m]
+    return [p for p in primes_in(lo, max_p, user_filter) if claim.applies(p)]
 
 
 def run_claim(claim_name: str, p: int, oracle: bool = False,

@@ -10,13 +10,17 @@ checked before --out is opened, so a usage error leaves it untouched.
 Verification streams are JSONL (default) or CSV with fixed key order, in
 ascending p whatever --jobs, written as each task of primes finishes: a
 run stopped by exit 2 or 3 leaves the complete records written before
-it.  Nothing time-dependent goes to stdout, so outputs are byte-identical
-across runs.  The run manifest goes to stderr.
+it.  Every JSON line is written by `compact_json`, without spaces.
+Nothing time-dependent goes to stdout, so outputs are byte-identical
+across runs.  The run manifest goes to stderr: one JSON object with the
+keys command, claim, min_p, max_p, jobs, started, finished, total, passed
+and failed, then a FAILED line naming the failing primes if there are any.
 """
 
 import argparse
 import contextlib
 import csv
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,9 +30,11 @@ from .errors import ResidueLabError
 from .modarith import build_context, cm_decompose
 from .patterns import count_pattern, jacobsthal, residue_word
 from .quadgraphs import GraphClass, count_graph_classes
-from .records import RunManifest, compact_json
 from .claims import CLAIMS, _verify_worker, eligible_primes
 from . import curves, k3, stats
+
+# The one encoder of every JSON line the package writes, without spaces.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
 
@@ -170,17 +176,14 @@ def _cmd_verify(args) -> int:
     if args.min_p > args.max_p:
         raise ValueError(f"empty range [{args.min_p}, {args.max_p}]")
     primes = eligible_primes(claim, args.min_p, args.max_p, _FILTERS[args.filter])
-    manifest = RunManifest(
-        command=" ".join(args.argv),
-        claim=args.claim, min_p=args.min_p, max_p=args.max_p, jobs=args.jobs,
-        started=datetime.now(timezone.utc).isoformat())
+    started = datetime.now(timezone.utc).isoformat()
     chunk = max(1, len(primes) // _TASKS)
     tasks = [(args.claim, primes[i:i + chunk], args.oracle)
              for i in range(0, len(primes), chunk)]
     # the pool forks all of its workers at the first submit, so it gets no
     # more than can be used; the manifest keeps the requested count
     workers = min(args.jobs, _usable_cpus(), len(tasks))
-    failures = []
+    total, failures = 0, []
     with (_open_out(args.out, sys.stdout) as fh,
           (ProcessPoolExecutor(max_workers=workers) if workers > 1
            else contextlib.nullcontext()) as pool):
@@ -191,12 +194,14 @@ def _cmd_verify(args) -> int:
                 write(r)
                 if not r["pass"]:
                     failures.append(r["p"])
-            manifest.total += len(records)
+            total += len(records)
             fh.flush()
-    manifest.finished = datetime.now(timezone.utc).isoformat()
-    manifest.failed = len(failures)
-    manifest.passed = manifest.total - manifest.failed
-    print(manifest.to_json(), file=sys.stderr)
+    manifest = {
+        "command": " ".join(args.argv), "claim": args.claim,
+        "min_p": args.min_p, "max_p": args.max_p, "jobs": args.jobs,
+        "started": started, "finished": datetime.now(timezone.utc).isoformat(),
+        "total": total, "passed": total - len(failures), "failed": len(failures)}
+    print(compact_json(manifest), file=sys.stderr)
     if failures:
         print(f"FAILED {args.claim} at p = {failures}", file=sys.stderr)
         return 1

@@ -3,10 +3,12 @@ and surface identities: the CM cubic y^2 = x^3 - x and its shifts, the
 Edwards quartic x^2 + y^2 = 1 - x^2 y^2, the four lemniscatic quartic
 twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 
-All counts run over the chi table of a FieldContext: one Horner pass and
-one root_counts gather per curve.  Whether a model reduces well at p is
-read off its integer discriminant, computed once per model.  The
-identities these counts enter are checked in `claims`.
+All counts run over the tables of a FieldContext: one Horner pass and
+one root_counts gather per curve, and no count reads chi.  Every trace,
+cubic or quartic, comes from one law checked against the Hasse bound.
+Whether a model reduces well at p is read off its integer discriminant,
+computed once per model.  The identities these counts enter are checked
+in `claims`.
 """
 
 import functools
@@ -168,7 +170,16 @@ def _infinity_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
         return 1
     p = ctx.p
     lead = spec.coeffs[-1] * pow(spec.twist % p, p - 2, p) % p
-    return 2 if ctx.chi[lead] == 1 else 0
+    return 2 if ctx.root_counts[lead] == 2 else 0
+
+
+def _trace(p: int, affine: int, infinity: int) -> int:
+    """The trace law p + 1 - #projective of a genus-1 smooth model, checked
+    against the Hasse bound trace^2 < 4p."""
+    trace = p + 1 - (affine + infinity)
+    if trace * trace >= 4 * p:
+        raise ArithmeticError(f"Hasse bound violated at p={p}: trace={trace}")
+    return trace
 
 
 def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
@@ -180,10 +191,7 @@ def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
         raise ValueError("need a cubic or a quartic")
     if not is_squarefree_mod(spec, p):
         raise SingularCurve(f"f not squarefree mod {p}")
-    trace = p + 1 - (affine_count(ctx, spec) + _infinity_count(ctx, spec))
-    if trace * trace >= 4 * p:
-        raise ArithmeticError(f"Hasse bound violated at p={p}: trace={trace}")
-    return trace
+    return _trace(p, affine_count(ctx, spec), _infinity_count(ctx, spec))
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
@@ -234,7 +242,7 @@ def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
             rows.append(CountRecord(
                 p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
                 f_zeros + int(ctx.root_counts[tw_inv]),
-                p + 1 - (affine + infinity)))
+                _trace(p, affine, infinity)))
     return rows
 
 

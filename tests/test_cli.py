@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from residue_lab import claims, cli, k3, modarith, stats
+from residue_lab import claims, cli, curves, k3, modarith, stats
 
 CLI = [sys.executable, "-m", "residue_lab.cli"]
 
@@ -269,6 +269,18 @@ def test_verify_manifest_records_main_argv(capsys):
     assert manifest["command"] == " ".join(argv)
 
 
+def test_verify_manifest_keys_and_tallies(capsys):
+    # the tables claim fails at p = 3 mod 4: 7, 11 and 19 of the six primes
+    assert cli.main(["verify", "tables", "--max-p", "20"]) == 1
+    manifest_line, failed_line = capsys.readouterr().err.splitlines()
+    manifest = json.loads(manifest_line)
+    assert list(manifest) == ["command", "claim", "min_p", "max_p", "jobs",
+                              "started", "finished", "total", "passed", "failed"]
+    assert manifest["total"] == manifest["passed"] + manifest["failed"] == 6
+    assert failed_line == "FAILED tables at p = [7, 11, 19]"
+    assert manifest["failed"] == 3
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     # `--jobs 2` must take the process-pool path on a one-CPU runner too
@@ -296,6 +308,17 @@ def test_invariant_violation_exits_3(monkeypatch, capsys, two_cpus, jobs):
     err = capsys.readouterr().err
     assert code == 3
     assert "internal invariant violated: Hasse bound violated at p=" in err
+    assert "Traceback" not in err
+
+
+def test_broken_quartic_count_violates_hasse(monkeypatch, capsys):
+    # a quartic row's trace obeys the same law and bound as curve_trace, so
+    # a broken count is a broken invariant, not a failing tables record
+    monkeypatch.setattr(curves, "_infinity_count", lambda ctx, spec: 4 * ctx.p)
+    code = cli.main(["verify", "tables", "--max-p", "13"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: Hasse bound violated" in err
     assert "Traceback" not in err
 
 
