@@ -20,7 +20,6 @@ from .modarith import (
     primes_in,
 )
 from .patterns import (
-    PatternWord,
     all_patterns,
     count_pattern,
     jacobsthal,
@@ -50,11 +49,9 @@ from .k3 import (
     count_Xprime,
 )
 from .stats import (
-    DistributionReport,
     TraceSample,
     collect_traces,
     ks_distance,
-    st_report,
 )
 from .claims import VerificationRecord
 

@@ -15,6 +15,9 @@ Nothing time-dependent goes to stdout, so outputs are byte-identical
 across runs.  The run manifest goes to stderr: one JSON object with the
 keys command, claim, min_p, max_p, jobs, started, finished, total, passed
 and failed, then a FAILED line naming the failing primes if there are any.
+The worker count of `verify` is --jobs alone, 1 by default.  `satotate`
+composes its line from `stats.collect_traces` and `stats.ks_distance`, and
+its --out CSV from `stats.histogram`.
 """
 
 import argparse
@@ -42,6 +45,9 @@ _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
 # one), whatever --jobs, and writes each task's records as it returns.
 _TASKS = 16
 
+# The least --max-p `satotate` accepts, checked before it opens --out.
+_SATOTATE_MIN_P = 100
+
 # The kernel behind each `count` object but `pattern` and `graph`, which
 # take an argument of their own.
 _COUNT_KERNELS = {
@@ -68,16 +74,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
     return value
-
-
-def _env_jobs(parser: argparse.ArgumentParser) -> int:
-    """RESIDUE_LAB_JOBS, 1 when unset, checked like --jobs; a bad value is a
-    usage error (exit 2) that names the variable."""
-    text = os.environ.get("RESIDUE_LAB_JOBS", "1")
-    try:
-        return _positive_int(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        parser.error(f"RESIDUE_LAB_JOBS must be an integer of at least 1, got {text!r}")
 
 
 def _open_out(path: str | None, default):
@@ -108,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("claim", choices=sorted(CLAIMS))
     v.add_argument("--min-p", type=int, default=3)
     v.add_argument("--max-p", type=int, required=True)
-    v.add_argument("--jobs", type=_positive_int,
-                   help="worker processes (default: RESIDUE_LAB_JOBS or 1); "
-                        "no more start than there are tasks or CPUs")
+    v.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (default 1); no more start than "
+                        "there are tasks or CPUs")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     v.add_argument("--out", help="write records here instead of stdout")
     v.add_argument("--filter", choices=sorted(_FILTERS), default="none",
@@ -209,25 +205,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_satotate(args) -> int:
-    if args.max_p < stats.ST_MIN_BOUND:
-        raise ValueError(f"need --max-p >= {stats.ST_MIN_BOUND}")
+    if args.max_p < _SATOTATE_MIN_P:
+        raise ValueError(f"need --max-p >= {_SATOTATE_MIN_P}")
     with _open_out(args.out, None) as fh:
-        report = stats.st_report(args.curve, args.max_p, _FILTERS[args.filter])
+        coll = stats.collect_traces(args.curve, args.max_p, _FILTERS[args.filter])
+        ts = [s.t for s in coll.samples]
         if fh is not None:
-            total = max(report.sample_count, 1)
+            total = max(len(ts), 1)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-            for lo, hi, count in report.histogram:
+            for lo, hi, count in stats.histogram(ts):
                 writer.writerow([f"{lo:.6f}", f"{hi:.6f}", count,
                                  f"{count / (total * (hi - lo)):.8f}"])
     obj = {
-        "curve": report.curve,
-        "max_p": report.max_p,
+        "curve": args.curve,
+        "max_p": args.max_p,
         "filter": args.filter,
-        "sample_count": report.sample_count,
-        "skipped": report.skipped,
-        "ks_uniform": report.ks_uniform,
-        "ks_semicircle": report.ks_semicircle,
+        "sample_count": len(ts),
+        "skipped": coll.skipped,
+        "ks_uniform": stats.ks_distance(ts, "uniform"),
+        "ks_semicircle": stats.ks_distance(ts, "semicircle"),
     }
     print(compact_json(obj))
     return 0
@@ -265,11 +262,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv = argv
-    if args.command == "verify" and args.jobs is None:
-        args.jobs = _env_jobs(parser)
     try:
         return _DISPATCH[args.command](args)
     except (ResidueLabError, ValueError, OSError, MemoryError) as exc:

@@ -1,7 +1,9 @@
 """Residue words and pattern counts.
 
 The word for p lists positions 1..p-1, writing X for quadratic residues
-and Y for non-residues.  Pattern occurrences are counted two independent
+and Y for non-residues.  Words and patterns are plain strings over X and
+Y; `count_pattern` takes a pattern in either case and refuses any other
+letter.  Pattern occurrences are counted two independent
 ways, and both must agree exactly:
 
 - Window scan.  `pattern_census` codes every window of length ell as an
@@ -21,7 +23,6 @@ Neither path reads the other's output.  Both refuse a length whose 2^ell
 bins would not stay O(p).
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -34,47 +35,25 @@ from .modarith import FieldContext, reduce_mod
 _CENSUS_BINS_PER_P = 16
 
 
-@dataclass(frozen=True)
-class PatternWord:
-    """A finite word over the alphabet {X, Y}."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("empty pattern")
-        bad = set(self.letters) - {"X", "Y"}
-        if bad:
-            raise ValueError(f"pattern letters must be X or Y, got {sorted(bad)}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return self.letters
-
-
-def parse_pattern(s) -> str:
-    """Normalize a pattern given as str or PatternWord; case-insensitive."""
-    if isinstance(s, PatternWord):
-        return s.letters
-    return PatternWord(str(s).upper()).letters
-
-
 def all_patterns(ell: int) -> list[str]:
     """All 2^ell patterns of length ell, in lexicographic order."""
     return ["".join(t) for t in product("XY", repeat=ell)]
 
 
-def residue_word(ctx: FieldContext) -> PatternWord:
+def residue_word(ctx: FieldContext) -> str:
     """The length-(p-1) word of residue/non-residue letters for positions 1..p-1."""
-    letters = np.where(ctx.chi[1:] == 1, "X", "Y")
-    return PatternWord("".join(letters))
+    return "".join(np.where(ctx.chi[1:] == 1, "X", "Y"))
 
 
-def count_pattern(ctx: FieldContext, S) -> int:
-    """Number of windows of consecutive positions in the word equal to S."""
-    s = parse_pattern(S)
+def count_pattern(ctx: FieldContext, S: str) -> int:
+    """Number of windows of consecutive positions in the word equal to S,
+    a nonempty word over X and Y in either case."""
+    s = S.upper()
+    if not s:
+        raise ValueError("empty pattern")
+    bad = set(s) - {"X", "Y"}
+    if bad:
+        raise ValueError(f"pattern letters must be X or Y, got {sorted(bad)}")
     ell = len(s)
     p = ctx.p
     if ell > p - 1:

@@ -4,7 +4,8 @@ For a fixed curve the traces a_p / (2 sqrt p) land in (-1, 1); the module
 collects them, compares the empirical CDF against the uniform law, the
 semicircle law (non-CM curves) and the arcsine law (CM curves at split
 primes, cos of a uniform angle) by Kolmogorov-Smirnov distance, and bins
-them into fixed 40-bin histograms.
+them into fixed 40-bin histograms.  The `satotate` command composes its
+report from these three pieces.
 """
 
 import math
@@ -17,8 +18,6 @@ from .modarith import ContextArena, build_context, primes_in
 from . import curves
 
 HISTOGRAM_BINS = 40
-# The least bound st_report accepts; the CLI checks it before opening --out.
-ST_MIN_BOUND = 100
 
 # Models per curve id; every registered model has good reduction at all
 # p >= 5.
@@ -39,24 +38,8 @@ class TraceCollection:
     skipped: list[int] = field(default_factory=list)
 
 
-@dataclass
-class DistributionReport:
-    curve: str
-    max_p: int
-    sample_count: int
-    ks_uniform: float
-    ks_semicircle: float
-    histogram: list[tuple[float, float, int]]
-    skipped: list[int] = field(default_factory=list)
-
-
 def curve_ids() -> list[str]:
     return sorted(_REGISTRY)
-
-
-def normalized_trace(p: int, trace: int) -> float:
-    """a_p / (2 sqrt p), which the Hasse bound puts in (-1, 1)."""
-    return trace / (2.0 * math.sqrt(p))
 
 
 def collect_traces(curve: str, bound: int,
@@ -82,7 +65,8 @@ def collect_traces(curve: str, bound: int,
         except SingularCurve:
             coll.skipped.append(p)
             continue
-        coll.samples.append(TraceSample(p, normalized_trace(p, trace)))
+        # a_p / (2 sqrt p), which the Hasse bound puts in (-1, 1)
+        coll.samples.append(TraceSample(p, trace / (2.0 * math.sqrt(p))))
     return coll
 
 
@@ -109,26 +93,9 @@ def ks_distance(samples, law: str) -> float:
     return float(max(np.abs(cdf - steps).max(), np.abs(cdf - steps + 1.0 / n).max()))
 
 
-def _histogram(values) -> list[tuple[float, float, int]]:
+def histogram(values) -> list[tuple[float, float, int]]:
+    """(lo, hi, count) of each of HISTOGRAM_BINS equal bins over [-1, 1]."""
     counts, edges = np.histogram(np.asarray(list(values), dtype=np.float64),
                                  bins=HISTOGRAM_BINS, range=(-1.0, 1.0))
     return [(float(edges[i]), float(edges[i + 1]), int(c))
             for i, c in enumerate(counts)]
-
-
-def st_report(curve: str, bound: int,
-              residue_filter: tuple[int, int] | None = None) -> DistributionReport:
-    """Full distribution report for one curve over primes up to bound."""
-    if bound < ST_MIN_BOUND:
-        raise ValueError(f"need bound >= {ST_MIN_BOUND}")
-    coll = collect_traces(curve, bound, residue_filter)
-    ts = [s.t for s in coll.samples]
-    return DistributionReport(
-        curve=curve,
-        max_p=bound,
-        sample_count=len(ts),
-        ks_uniform=ks_distance(ts, "uniform"),
-        ks_semicircle=ks_distance(ts, "semicircle"),
-        histogram=_histogram(ts),
-        skipped=coll.skipped,
-    )

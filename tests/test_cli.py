@@ -1,23 +1,22 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residue_lab import claims, cli, curves, k3, modarith, stats
 
 CLI = [sys.executable, "-m", "residue_lab.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def test_word():
@@ -53,6 +52,13 @@ def test_count_pattern_case_insensitive():
     res = run_cli("count", "pattern", "-p", "17", "-S", "xxx")
     assert res.returncode == 0
     assert json.loads(res.stdout)["count"] == 0
+
+
+def test_count_pattern_bad_letter_exits_2(capsys):
+    assert cli.main(["count", "pattern", "-p", "17", "-S", "XZ"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: pattern letters must be X or Y, got ['Z']\n"
 
 
 def test_count_pattern_requires_S():
@@ -139,13 +145,6 @@ def test_verify_jobs_determinism():
     assert manifest["failed"] == 0
 
 
-def test_verify_env_jobs_default():
-    res = run_cli("verify", "identity5", "--max-p", "30",
-                  env_extra={"RESIDUE_LAB_JOBS": "2"})
-    assert res.returncode == 0
-    assert json.loads(res.stderr.splitlines()[0])["jobs"] == 2
-
-
 class SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no worker is ever started."""
@@ -165,29 +164,27 @@ class SerialPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("jobs, env, cpus, max_p, workers", [
+@pytest.mark.parametrize("jobs, min_p, cpus, max_p, workers", [
     ("5000", None, 2, 20, 2),     # capped by the CPUs
     ("5000", None, 64, 20, 7),    # capped by the tasks: 7 primes, one per task
-    (None, "5000", 64, 20, 7),    # the environment default is capped alike
+    ("5000", "15", 64, 20, 2),    # capped alike when --min-p leaves 17 and 19
     ("3", None, 64, 300, 3),      # as requested
     ("5000", None, 1, 300, None),  # one CPU: no pool at all
 ])
-def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, jobs, env,
+def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, jobs, min_p,
                                                    cpus, max_p, workers):
     SerialPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    if env is not None:
-        monkeypatch.setenv("RESIDUE_LAB_JOBS", env)
     argv = ["verify", "identity5", "--max-p", str(max_p)]
-    if jobs is not None:
-        argv += ["--jobs", jobs]
-    assert cli.main(argv) == 0
+    if min_p is not None:
+        argv += ["--min-p", min_p]
+    assert cli.main([*argv, "--jobs", jobs]) == 0
     captured = capsys.readouterr()
     assert SerialPool.sizes == ([] if workers is None else [workers])
-    assert json.loads(captured.err.splitlines()[0])["jobs"] == int(jobs or env)
-    serial = cli.main(["verify", "identity5", "--max-p", str(max_p), "--jobs", "1"])
-    assert serial == 0 and capsys.readouterr().out == captured.out
+    assert json.loads(captured.err.splitlines()[0])["jobs"] == int(jobs)
+    assert cli.main([*argv, "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == captured.out
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -199,18 +196,6 @@ def test_verify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert SerialPool.sizes == []
-
-
-@pytest.mark.parametrize("env", ["abc", "0", "-4"])
-def test_verify_bad_env_jobs_is_a_usage_error(monkeypatch, capsys, env):
-    monkeypatch.setenv("RESIDUE_LAB_JOBS", env)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "identity5", "--max-p", "30"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "RESIDUE_LAB_JOBS" in err and "_positive_int" not in err
-    # an explicit --jobs is never checked against the environment
-    assert cli.main(["verify", "identity5", "--max-p", "30", "--jobs", "1"]) == 0
 
 
 def test_verify_csv_format():
@@ -277,6 +262,7 @@ def test_verify_manifest_keys_and_tallies(capsys):
     assert list(manifest) == ["command", "claim", "min_p", "max_p", "jobs",
                               "started", "finished", "total", "passed", "failed"]
     assert manifest["total"] == manifest["passed"] + manifest["failed"] == 6
+    assert manifest["jobs"] == 1  # the default without --jobs
     assert failed_line == "FAILED tables at p = [7, 11, 19]"
     assert manifest["failed"] == 3
 
@@ -553,3 +539,51 @@ def test_verify_pattern_claims_frozen_bytes(claim, digest):
     res = run_cli("verify", claim, "--max-p", "2000", "--jobs", "1")
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+# Random argv: each value from its real choices plus one bad value, every
+# prime bound small enough that no table or sieve grows large, and --jobs at
+# most 2, so that no more than two workers start.  Half the bounds are
+# primes, so that most commands get past the prime check.
+_P = (st.integers(-10, 600) | st.sampled_from(modarith.primes_in(3, 600))).map(str)
+_FILTER = st.sampled_from([*sorted(cli._FILTERS), "2mod4"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli._DISPATCH)))
+    if command == "count":
+        objects = ["pattern", "graph", *cli._COUNT_KERNELS, "zeta"]
+        argv = ["count", draw(st.sampled_from(objects)), "-p", draw(_P)]
+        pattern = draw(st.none() | st.text("XYxyZ", max_size=12))
+        if pattern is not None:
+            argv += ["-S", pattern]
+        graph_class = draw(st.none() | st.sampled_from(
+            [*(g.value for g in cli.GraphClass), "K5"]))
+        if graph_class is not None:
+            argv += ["--class", graph_class]
+    elif command == "verify":
+        argv = ["verify", draw(st.sampled_from([*claims.CLAIMS, "nonsense"])),
+                "--min-p", draw(_P), "--max-p", draw(_P),
+                "--jobs", draw(st.sampled_from(["1", "2", "0", "x"])),
+                "--filter", draw(_FILTER)]
+    elif command == "satotate":
+        argv = ["satotate", draw(st.sampled_from([*stats.curve_ids(), "zeta"])),
+                "--max-p", draw(_P), "--filter", draw(_FILTER)]
+    else:
+        argv = [command, "-p", draw(_P)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_random_argv_exits_with_a_documented_code(argv):
+    # any other exception escaping main would print a traceback
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -8,11 +8,14 @@ sets stay apart the two sides of every identity run down independent
 paths.  Pinning the sets makes a kernel that starts reading `chi`, or a
 closed form that starts reading `root_counts`, fail here.  The kernel
 modules also hold no closed form, claim runner or record type, so none of
-them can call the identity it is checked against.
+them can call the identity it is checked against; and at run time a
+profile of every claim checks that no closed form is called while a
+kernel runs, and no kernel while a closed form runs.
 """
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,65 @@ def test_kernel_modules_hold_no_closed_form(kernel):
         assert not any(value is b for b in banned), name
         if inspect.isfunction(value) or inspect.isclass(value):
             assert value.__module__ not in (claims.__name__, patterns.__name__), name
+
+
+# Call-graph audit.  A kernel is any function in k3, curves or quadgraphs.
+# A closed form is any function claims defines but the runners and the
+# record machinery, with the Jacobsthal sum and the CM decomposition.
+_KERNEL_FILES = {m.__file__ for m in (k3, curves, quadgraphs)}
+_CLOSED_FORMS = {
+    fn.__code__ for name, fn in vars(claims).items()
+    if inspect.isfunction(fn) and fn.__module__ == claims.__name__
+    and not name.startswith("_run_")
+    and name not in ("eligible_primes", "run_claim", "_verify_worker")
+} | {jacobsthal.__code__, cm_decompose.__code__}
+
+
+def _side(code) -> str | None:
+    if code in _CLOSED_FORMS:
+        return "closed form"
+    if code.co_filename in _KERNEL_FILES:
+        return "kernel"
+    return None
+
+
+def _audited_run(claim: str, p: int) -> tuple[dict[str, int], list[tuple[str, str]]]:
+    """Runs one claim at p under sys.setprofile, and returns the calls made
+    to each side and every (caller, callee) pair in which a function of one
+    side was called while one of the other side was on the stack."""
+    calls = {"kernel": 0, "closed form": 0}
+    crossings = []
+
+    def profile(frame, event, arg):
+        if event != "call" or (side := _side(frame.f_code)) is None:
+            return
+        calls[side] += 1
+        outer = frame.f_back
+        while outer is not None:
+            if _side(outer.f_code) not in (None, side):
+                crossings.append((outer.f_code.co_qualname, frame.f_code.co_qualname))
+                break
+            outer = outer.f_back
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        claims.run_claim(claim, p)
+    finally:
+        sys.setprofile(previous)
+    return calls, crossings
+
+
+def test_call_audit_sees_both_sides():
+    assert {code.co_name for code in _CLOSED_FORMS} == {
+        "d_of_J", "goncharova_K4", "expected_quartic_table", "fiber_buckets",
+        "_weil_limit", "_weil_law", "jacobsthal", "cm_decompose"}
+    calls, _ = _audited_run("formula2", 13)  # count_S against jacobsthal
+    assert calls["kernel"] > 0 and calls["closed form"] > 0, calls
+
+
+@pytest.mark.parametrize("claim", sorted(claims.CLAIMS))
+def test_no_call_crosses_between_kernels_and_closed_forms(claim):
+    for p in (13, 17, 19, 29, 31):
+        if claims.CLAIMS[claim].applies(p):
+            assert _audited_run(claim, p)[1] == [], p

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import brute
 from residue_lab import (
     PatternTooLong,
-    PatternWord,
     WrongResidueClass,
     all_patterns,
     build_context,
@@ -25,24 +24,25 @@ from residue_lab.patterns import _subset_char_sums
 
 
 def test_residue_word_frozen_values():
-    assert str(residue_word(build_context(17))) == "XXYXYYYXXYYYXYXX"
-    assert str(residue_word(build_context(5))) == "XYYX"
-    assert str(residue_word(build_context(13))) == "XYXXYYYYXXYX"
+    assert residue_word(build_context(17)) == "XXYXYYYXXYYYXYXX"
+    assert residue_word(build_context(5)) == "XYYX"
+    assert residue_word(build_context(13)) == "XYXXYYYYXXYX"
 
 
 def test_residue_word_balanced():
     for p in primes_in(3, 300):
-        w = str(residue_word(build_context(p)))
+        w = residue_word(build_context(p))
         assert len(w) == p - 1
         assert w.count("X") == w.count("Y") == (p - 1) // 2
 
 
 def test_pattern_word_validation():
-    with pytest.raises(ValueError):
-        PatternWord("")
-    with pytest.raises(ValueError):
-        PatternWord("XZ")
-    assert count_pattern(build_context(17), "xyx") == 2  # case-insensitive parse
+    ctx = build_context(17)
+    with pytest.raises(ValueError, match="empty pattern"):
+        count_pattern(ctx, "")
+    with pytest.raises(ValueError, match=r"must be X or Y, got \['Z'\]"):
+        count_pattern(ctx, "XZ")
+    assert count_pattern(ctx, "xyx") == 2  # case-insensitive
 
 
 def test_count_pattern_census_17():
@@ -110,7 +110,7 @@ def test_charsum_expansion_at_longest_length(p):
     # the only window of length p - 1 is the whole word
     ctx = build_context(p)
     census = pattern_census(ctx, p - 1)
-    assert census == {s: int(s == str(residue_word(ctx))) for s in all_patterns(p - 1)}
+    assert census == {s: int(s == residue_word(ctx)) for s in all_patterns(p - 1)}
     assert pattern_counts_charsum(ctx, p - 1) == census
 
 

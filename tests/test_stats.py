@@ -9,9 +9,8 @@ from residue_lab import (
     collect_traces,
     ks_distance,
     primes_in,
-    st_report,
 )
-from residue_lab.stats import _cdf_values
+from residue_lab.stats import _REGISTRY, _cdf_values, curve_ids, histogram
 
 
 def test_collect_traces_cm_split():
@@ -90,24 +89,44 @@ def test_ks_distance_permutation_invariant():
 
 
 def test_st_report_shape():
-    rep = st_report("weierstrass", 1500)
-    assert rep.sample_count == len(primes_in(5, 1500))
-    assert len(rep.histogram) == 40
-    assert sum(c for _, _, c in rep.histogram) == rep.sample_count
-    assert 0.0 <= rep.ks_uniform <= 1.0
-    assert 0.0 <= rep.ks_semicircle <= 1.0
-    assert rep.histogram[0][0] == -1.0
-    assert rep.histogram[-1][1] == 1.0
-    with pytest.raises(ValueError):
-        st_report("weierstrass", 50)
+    # the pieces the satotate report is composed of
+    ts = [s.t for s in collect_traces("weierstrass", 1500).samples]
+    assert len(ts) == len(primes_in(5, 1500))
+    hist = histogram(ts)
+    assert len(hist) == 40
+    assert sum(c for _, _, c in hist) == len(ts)
+    assert 0.0 <= ks_distance(ts, "uniform") <= 1.0
+    assert 0.0 <= ks_distance(ts, "semicircle") <= 1.0
+    assert hist[0][0] == -1.0
+    assert hist[-1][1] == 1.0
 
 
 def test_unfiltered_cm_histogram_has_central_spike():
-    rep = st_report("weierstrass", 5000)
-    spike = max(c for _, _, c in rep.histogram)
-    zero_bin = next(c for lo, hi, c in rep.histogram if lo <= 0.0 < hi)
+    ts = [s.t for s in collect_traces("weierstrass", 5000).samples]
+    hist = histogram(ts)
+    spike = max(c for _, _, c in hist)
+    zero_bin = next(c for lo, hi, c in hist if lo <= 0.0 < hi)
     assert zero_bin == spike
-    assert spike >= 0.4 * rep.sample_count
+    assert spike >= 0.4 * len(ts)
+
+
+def test_registered_models_reduce_well_from_5():
+    # a unit leading coefficient and twist, and a discriminant with no prime
+    # factor above 3, give good reduction at every p >= 5
+    discriminants = []
+    for curve in curve_ids():
+        spec = _REGISTRY[curve]
+        assert abs(spec.coeffs[-1]) == abs(spec.twist) == 1, curve
+        d = spec.discriminant
+        assert d != 0, curve
+        while d % 2 == 0:
+            d //= 2
+        while d % 3 == 0:
+            d //= 3
+        assert abs(d) == 1, (curve, spec.discriminant)
+        discriminants.append(spec.discriminant)
+        assert collect_traces(curve, 2000).skipped == [], curve
+    assert discriminants == [4, 36, 36, 4, 144, 4]
 
 
 def test_cm_split_traces_follow_arcsine_law():
