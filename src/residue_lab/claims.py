@@ -92,7 +92,8 @@ def fiber_buckets(ctx: FieldContext) -> dict[str, np.ndarray]:
     """Masks over t = 1..p-1 of the t with t^2 + 1 != 0, bucketed by the
     residue pattern of (t, t^2 + 1); R = residue, N = non-residue.  Keys
     RR, RN, NR, NN follow the quartic variants 1..4."""
-    tt1 = reduce_mod(ctx.squares[1:] + 1, ctx.p)
+    t = ctx.index[1:]
+    tt1 = reduce_mod(t * t + 1, ctx.p)
     valid = tt1 != 0
     t_res = ctx.chi[1:] == 1
     s_res = ctx.chi[tt1] == 1
@@ -310,6 +311,9 @@ class ClaimDef:
     residue: tuple[int, int] | None  # (r, m) eligibility, None = all odd p
     min_p: int
     run: Callable[[FieldContext], VerificationRecord]
+    # the cost of a prime grows about as p**cost_exponent: 2 for the claims
+    # that scan a p x p grid of cells, 1 for the rest
+    cost_exponent: int = 1
 
     def applies(self, p: int) -> bool:
         """Whether the claim applies at p: its one eligibility rule."""
@@ -319,13 +323,13 @@ class ClaimDef:
 
 CLAIMS = {c.name: c for c in [
     ClaimDef("formula2", (1, 4), 5, _run_formula2),
-    ClaimDef("identity5", None, 3, _run_identity5),
-    ClaimDef("goncharova1", (1, 4), 5, _run_goncharova1),
+    ClaimDef("identity5", None, 3, _run_identity5, 2),
+    ClaimDef("goncharova1", (1, 4), 5, _run_goncharova1, 2),
     ClaimDef("tables", None, 5, _run_tables),
-    ClaimDef("fibration", (1, 4), 5, _run_fibration),
+    ClaimDef("fibration", (1, 4), 5, _run_fibration, 2),
     ClaimDef("gauss_edwards", (1, 4), 5, _run_gauss_edwards),
     ClaimDef("j_relations", (1, 4), 5, _run_j_relations),
-    ClaimDef("bookkeeping", (1, 4), 5, _run_bookkeeping),
+    ClaimDef("bookkeeping", (1, 4), 5, _run_bookkeeping, 2),
     ClaimDef("charsum_consistency", None, 3, _run_charsum_consistency),
     ClaimDef("weil_bound", None, 17, _run_weil_bound),
     ClaimDef("genus2", (1, 4), 5, _run_genus2),

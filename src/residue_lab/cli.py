@@ -8,26 +8,36 @@ such as the Hasse bound or a divisibility test, or a read of a stale
 context: a defect in the library, not a failing claim).  Arguments are
 checked before --out is opened, so a usage error leaves it untouched.
 Verification streams are JSONL (default) or CSV with fixed key order, in
-ascending p whatever --jobs, written as each task of primes finishes: a
-run stopped by exit 2 or 3 leaves the complete records written before
-it.  Every JSON line is written by `compact_json`, without spaces.
+ascending p whatever --jobs, written and flushed task by task: a run
+stopped by exit 2 or 3 leaves the complete records written before it.
+`verify` cuts its primes into at most 16 contiguous tasks of about equal
+cost, each prime costing p**e with the claim's cost exponent e.  With
+w = min(--jobs, usable CPUs, tasks), task i runs in process i mod w:
+process 0 is this one, and the other w - 1 are started once each and send
+their records back over a pipe.  A started process's exception is raised
+here at its task's turn, so the exit codes do not depend on --jobs, and a
+process that ends without replying is exit 2.  Every JSON line is written
+by `compact_json`, without spaces.
 Nothing time-dependent goes to stdout, so outputs are byte-identical
 across runs.  The run manifest goes to stderr: one JSON object with the
 keys command, claim, min_p, max_p, jobs, started, finished, total, passed
 and failed, then a FAILED line naming the failing primes if there are any.
-The worker count of `verify` is --jobs alone, 1 by default.  `satotate`
-composes its line from `stats.collect_traces` and `stats.ks_distance`, and
-its --out CSV from `stats.histogram`.
+`count` refuses -S on any object but pattern, and --class on any object
+but graph.  `satotate` composes its line from `stats.collect_traces` and
+`stats.ks_distance`, and its --out CSV from `stats.histogram`.
 """
 
 import argparse
 import contextlib
 import csv
 import json
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
 from datetime import datetime, timezone
+from itertools import accumulate
+from multiprocessing.connection import Connection
 
 from .errors import ResidueLabError
 from .modarith import build_context, cm_decompose
@@ -41,8 +51,8 @@ compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 _FILTERS = {"1mod4": (1, 4), "3mod4": (3, 4), "none": None}
 
-# `verify` cuts its primes into tasks of len(primes) // _TASKS (at least
-# one), whatever --jobs, and writes each task's records as it returns.
+# `verify` cuts its primes into this many tasks (one a prime below that),
+# whatever --jobs, and writes each task's records as it comes in.
 _TASKS = 16
 
 # The least --max-p `satotate` accepts, checked before it opens --out.
@@ -105,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--min-p", type=int, default=3)
     v.add_argument("--max-p", type=int, required=True)
     v.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (default 1); no more start than "
-                        "there are tasks or CPUs")
+                   help="processes that share the work, this one included "
+                        "(default 1); no more than there are tasks or CPUs")
     v.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     v.add_argument("--out", help="write records here instead of stdout")
     v.add_argument("--filter", choices=sorted(_FILTERS), default="none",
@@ -136,6 +146,10 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.pattern is not None and args.object != "pattern":
+        raise ValueError(f"-S is for object=pattern, not {args.object}")
+    if args.graph_class is not None and args.object != "graph":
+        raise ValueError(f"--class is for object=graph, not {args.object}")
     ctx = build_context(args.p)
     obj = {"p": args.p, "object": args.object}
     if args.object == "pattern":
@@ -167,25 +181,100 @@ def _record_writer(fmt: str, fh):
         str(r["pass"]).lower(), compact_json(r.get("detail"))])
 
 
+def _cut(primes: list[int], exponent: int) -> list[list[int]]:
+    """Ascending primes cut into min(_TASKS, len(primes)) contiguous tasks
+    at about equal shares of the sum of p**exponent.
+
+    Cut k falls just after the prime at which the running cost first
+    reaches k shares, so no task costs more than one share plus the cost
+    of its largest prime.  Where that would leave a task empty, the cuts
+    move so that it gets one prime."""
+    if not primes:
+        return []
+    tasks = min(_TASKS, len(primes))
+    prefix = list(accumulate((p ** exponent for p in primes), initial=0))
+    cuts = [0]
+    for k in range(1, tasks):
+        at = bisect_left(prefix, prefix[-1] * k, key=lambda s: s * tasks)
+        cuts.append(min(max(at, cuts[-1] + 1), len(primes) - (tasks - k)))
+    cuts.append(len(primes))
+    return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _serve(tasks: list, conn: Connection) -> None:
+    """The body of a started process: sends the records of each task in
+    turn over `conn`, or the exception that stopped one, and ends."""
+    try:
+        for task in tasks:
+            conn.send(_verify_worker(task))
+    except Exception as exc:  # raised by the reader at its task's turn
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _start(tasks: list) -> tuple[multiprocessing.Process, Connection]:
+    """Starts one process that runs `tasks`; returns it and the end of its
+    pipe that receives each task's records in task order."""
+    recv_end, send_end = multiprocessing.Pipe(duplex=False)
+    proc = multiprocessing.Process(target=_serve, args=(tasks, send_end), daemon=True)
+    proc.start()
+    send_end.close()
+    return proc, recv_end
+
+
+def _task_records(tasks: list, workers: int):
+    """Yields each task's records, in task order.
+
+    Task i runs in process i mod `workers`: process 0 is this one, and each
+    of the others is started once, at the first step, and sends its tasks'
+    records back over its own pipe.  A started process's exception is
+    raised here when its task's turn comes; one that ends without replying
+    is a ChildProcessError.  Every started process is terminated if still
+    alive, and joined, when the generator finishes or is closed."""
+    started = []
+    try:
+        for r in range(1, workers):
+            started.append(_start(tasks[r::workers]))
+        for i, task in enumerate(tasks):
+            if i % workers == 0:
+                yield _verify_worker(task)
+                continue
+            proc, conn = started[i % workers - 1]
+            try:
+                reply = conn.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"worker process ended with exit code {proc.exitcode} "
+                    f"before sending task {i}") from None
+            if isinstance(reply, Exception):
+                raise reply
+            yield reply
+    finally:
+        for proc, conn in started:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def _cmd_verify(args) -> int:
     claim = CLAIMS[args.claim]
     if args.min_p > args.max_p:
         raise ValueError(f"empty range [{args.min_p}, {args.max_p}]")
     primes = eligible_primes(claim, args.min_p, args.max_p, _FILTERS[args.filter])
     started = datetime.now(timezone.utc).isoformat()
-    chunk = max(1, len(primes) // _TASKS)
-    tasks = [(args.claim, primes[i:i + chunk], args.oracle)
-             for i in range(0, len(primes), chunk)]
-    # the pool forks all of its workers at the first submit, so it gets no
-    # more than can be used; the manifest keeps the requested count
+    tasks = [(args.claim, task, args.oracle)
+             for task in _cut(primes, claim.cost_exponent)]
+    # no more processes share the work than can run at once; the manifest
+    # keeps the requested count
     workers = min(args.jobs, _usable_cpus(), len(tasks))
     total, failures = 0, []
     with (_open_out(args.out, sys.stdout) as fh,
-          (ProcessPoolExecutor(max_workers=workers) if workers > 1
-           else contextlib.nullcontext()) as pool):
+          contextlib.closing(_task_records(tasks, workers)) as replies):
         write = _record_writer(args.format, fh)
-        # either map yields the tasks' records in task order, so in ascending p
-        for records in (pool.map if pool else map)(_verify_worker, tasks):
+        for records in replies:
             for r in records:
                 write(r)
                 if not r["pass"]:

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -59,6 +61,23 @@ def test_count_pattern_bad_letter_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ValueError: pattern letters must be X or Y, got ['Z']\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["count", "k3-M", "-p", "13", "-S", "XZ", "--class", "K4"],
+     "-S is for object=pattern, not k3-M"),
+    (["count", "graph", "-p", "13", "-S", "XY", "--class", "K4"],
+     "-S is for object=pattern, not graph"),
+    (["count", "pattern", "-p", "13", "-S", "XY", "--class", "K4"],
+     "--class is for object=graph, not pattern"),
+    (["count", "jacobsthal", "-p", "13", "--class", "K4"],
+     "--class is for object=graph, not jacobsthal"),
+])
+def test_count_stray_option_is_a_usage_error(capsys, argv, err):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {err}\n"
 
 
 def test_count_pattern_requires_S():
@@ -145,23 +164,38 @@ def test_verify_jobs_determinism():
     assert manifest["failed"] == 0
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is ever started."""
+class InlineProcess:
+    """Stands in for a started process and the pipe it replies on: runs its
+    tasks here, one at each receive, so that no process is ever started."""
 
-    sizes = []
+    def __init__(self, tasks):
+        self.replies = map(cli._verify_worker, tasks)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def recv(self):
+        return next(self.replies)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    def is_alive(self):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def join(self):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def inline_starts(monkeypatch):
+    """The task lists of each process `verify` would start, none started."""
+    started = []
+
+    def start(tasks):
+        started.append(tasks)
+        proc = InlineProcess(tasks)
+        return proc, proc
+
+    monkeypatch.setattr(cli, "_start", start)
+    return started
 
 
 @pytest.mark.parametrize("jobs, min_p, cpus, max_p, workers", [
@@ -169,33 +203,31 @@ class SerialPool:
     ("5000", None, 64, 20, 7),    # capped by the tasks: 7 primes, one per task
     ("5000", "15", 64, 20, 2),    # capped alike when --min-p leaves 17 and 19
     ("3", None, 64, 300, 3),      # as requested
-    ("5000", None, 1, 300, None),  # one CPU: no pool at all
+    ("5000", None, 1, 300, None),  # one CPU: this process alone
 ])
-def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, jobs, min_p,
-                                                   cpus, max_p, workers):
-    SerialPool.sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+def test_verify_starts_no_more_workers_than_usable(monkeypatch, capsys, inline_starts, jobs,
+                                                   min_p, cpus, max_p, workers):
+    # this process is one of the workers, so one fewer is started
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     argv = ["verify", "identity5", "--max-p", str(max_p)]
     if min_p is not None:
         argv += ["--min-p", min_p]
     assert cli.main([*argv, "--jobs", jobs]) == 0
     captured = capsys.readouterr()
-    assert SerialPool.sizes == ([] if workers is None else [workers])
+    assert len(inline_starts) == (0 if workers is None else workers - 1)
     assert json.loads(captured.err.splitlines()[0])["jobs"] == int(jobs)
     assert cli.main([*argv, "--jobs", "1"]) == 0
     assert capsys.readouterr().out == captured.out
+    assert len(inline_starts) == (0 if workers is None else workers - 1)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_jobs_below_one_is_a_usage_error(monkeypatch, capsys, jobs):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    SerialPool.sizes = []
+def test_verify_jobs_below_one_is_a_usage_error(capsys, inline_starts, jobs):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "identity5", "--max-p", "30", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
-    assert SerialPool.sizes == []
+    assert inline_starts == []
 
 
 def test_verify_csv_format():
@@ -416,6 +448,128 @@ def test_fault_keeps_the_records_written_before_it(monkeypatch, capsys, tmp_path
     assert primes == sorted(primes) and primes[-1] < last
 
 
+def _plant(monkeypatch, claim_name, p, fault):
+    """Replaces the claim's runner by one that calls fault(ctx) at p first."""
+    claim = claims.CLAIMS[claim_name]
+
+    def run(ctx):
+        if ctx.p == p:
+            fault(ctx)
+        return claim.run(ctx)
+
+    monkeypatch.setitem(claims.CLAIMS, claim_name, dataclasses.replace(claim, run=run))
+
+
+# started processes are forked from this one, after this module is imported
+_TEST_PID = os.getpid()
+
+
+def _die_in_a_started_process(ctx):
+    if os.getpid() != _TEST_PID:
+        os._exit(9)
+
+
+def _fault(ctx):
+    raise ArithmeticError(f"planted fault at p={ctx.p}")
+
+
+def _tasks(claim_name, max_p):
+    claim = claims.CLAIMS[claim_name]
+    return cli._cut(claims.eligible_primes(claim, 3, max_p, None), claim.cost_exponent)
+
+
+def test_fault_in_a_started_process_is_raised_at_its_turn(monkeypatch, capsys, two_cpus):
+    # task 1 is the first task of the one started process; its exception is
+    # raised here after task 0's records, as at --jobs 1
+    argv = ["verify", "identity5", "--max-p", "200"]
+    assert cli.main([*argv, "--jobs", "1"]) == 0
+    tasks = _tasks("identity5", 200)
+    head = "".join(capsys.readouterr().out.splitlines(keepends=True)[:len(tasks[0])])
+    _plant(monkeypatch, "identity5", tasks[1][0], _fault)
+    errs = []
+    for jobs in ("1", "2"):
+        assert cli.main([*argv, "--jobs", jobs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == head, jobs
+        errs.append(captured.err)
+    assert errs[0] == errs[1] == (
+        f"internal invariant violated: planted fault at p={tasks[1][0]}\n")
+
+
+
+
+def test_a_started_process_that_dies_is_a_usage_error(monkeypatch, capsys, two_cpus):
+    _plant(monkeypatch, "identity5", _tasks("identity5", 200)[1][0], _die_in_a_started_process)
+    assert cli.main(["verify", "identity5", "--max-p", "200", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: ChildProcessError: worker process ended with exit code 9 "
+                   "before sending task 1\n")
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_verify_leaves_no_process_running(monkeypatch, capsys, two_cpus, code):
+    # exit 3 comes from task 0, in this process, while the started process
+    # still works on its own tasks, so it is terminated
+    claim = "tables" if code == 1 else "identity5"
+    tasks = _tasks(claim, 300)
+    if code == 2:
+        _plant(monkeypatch, claim, tasks[1][0], _die_in_a_started_process)
+    if code == 3:
+        _plant(monkeypatch, claim, tasks[0][0], _fault)
+    procs = []
+    start = cli._start
+
+    def recorded(tasks):
+        proc, conn = start(tasks)
+        procs.append(proc)
+        return proc, conn
+
+    monkeypatch.setattr(cli, "_start", recorded)
+    assert cli.main(["verify", claim, "--max-p", "300", "--jobs", "2"]) == code
+    capsys.readouterr()
+    assert len(procs) == 1 and procs[0].exitcode is not None
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("claim", sorted(claims.CLAIMS))
+def test_cut_covers_each_prime_once_in_order(claim):
+    for max_p in (20, 1000):
+        primes = claims.eligible_primes(claims.CLAIMS[claim], 3, max_p, None)
+        tasks = _tasks(claim, max_p)
+        assert len(tasks) == min(cli._TASKS, len(primes)) and all(tasks)
+        assert [p for task in tasks for p in task] == primes
+
+
+def test_cut_balances_p_squared():
+    # no task costs more than 1/16 of the total and its own largest p^2; an
+    # equal-count cut puts about 18 % of the cost in its last full task
+    claim = claims.CLAIMS["identity5"]
+    assert claim.cost_exponent == 2
+    primes = claims.eligible_primes(claim, 3, 1000, None)
+    total = sum(p * p for p in primes)
+    tasks = cli._cut(primes, 2)
+    assert len(tasks) == cli._TASKS
+    for task in tasks:
+        assert cli._TASKS * sum(p * p for p in task) <= total + cli._TASKS * task[-1] ** 2
+    chunk = len(primes) // cli._TASKS
+    last = primes[15 * chunk:16 * chunk]
+    assert cli._TASKS * sum(p * p for p in last) > total + cli._TASKS * last[-1] ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(1, 10**6), unique=True, max_size=60),
+       exponent=st.sampled_from([1, 2]))
+def test_cut_property(values, exponent):
+    primes = sorted(values)
+    tasks = cli._cut(primes, exponent)
+    assert [p for task in tasks for p in task] == primes
+    assert len(tasks) == min(cli._TASKS, len(primes)) and all(tasks)
+    total = sum(p ** exponent for p in primes)
+    for task in tasks:
+        assert len(tasks) * sum(p ** exponent for p in task) <= (
+            total + len(tasks) * task[-1] ** exponent)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "weil_bound", "--max-p", "13"],           # below the claim's minimum
     ["verify", "identity5", "--min-p", "1", "--max-p", "2"],  # no odd prime
@@ -587,3 +741,6 @@ def test_random_argv_exits_with_a_documented_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if argv[0] == "count" and (("-S" in argv and argv[1] != "pattern")
+                               or ("--class" in argv and argv[1] != "graph")):
+        assert code == 2, argv

@@ -16,6 +16,7 @@ kernel runs, and no kernel while a closed form runs.
 import ast
 import inspect
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,7 @@ _CLOSED_FORM_READS = {
                                         {"chi"}),
     "patterns.jacobsthal": (jacobsthal, {"chi", "index"}),
     "claims.goncharova_K4": (claims.goncharova_K4, {"chi", "index"}),
+    "claims.fiber_buckets": (claims.fiber_buckets, {"chi", "index"}),
     "modarith.cm_decompose": (cm_decompose, {"delta"}),
 }
 
@@ -142,6 +144,17 @@ _CLOSED_FORMS = {
     and not name.startswith("_run_")
     and name not in ("eligible_primes", "run_claim", "_verify_worker")
 } | {jacobsthal.__code__, cm_decompose.__code__}
+
+
+def test_read_set_table_covers_every_closed_form_taking_a_context():
+    # the two audits share one list of closed forms, so neither can drift
+    takes_context = {
+        f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__name__}"
+        for fn in (*vars(claims).values(), jacobsthal, cm_decompose)
+        if inspect.isfunction(fn) and fn.__code__ in _CLOSED_FORMS
+        and FieldContext in typing.get_type_hints(fn).values()}
+    assert {"claims.fiber_buckets", "patterns.jacobsthal"} <= takes_context
+    assert not takes_context - set(_CLOSED_FORM_READS), takes_context - set(_CLOSED_FORM_READS)
 
 
 def _side(code) -> str | None:
