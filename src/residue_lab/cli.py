@@ -23,7 +23,9 @@ across runs.  The run manifest goes to stderr: one JSON object with the
 keys command, claim, min_p, max_p, jobs, started, finished, total, passed
 and failed, then a FAILED line naming the failing primes if there are any.
 `count` refuses -S on any object but pattern, and --class on any object
-but graph.  `satotate` composes its line from `stats.collect_traces` and
+but graph; it checks that pattern has -S and graph has --class before it
+builds the tables of p, so a missing option is a usage error at any p.
+`satotate` composes its line from `stats.collect_traces` and
 `stats.ks_distance`, and its --out CSV from `stats.histogram`.
 """
 
@@ -150,16 +152,16 @@ def _cmd_count(args) -> int:
         raise ValueError(f"-S is for object=pattern, not {args.object}")
     if args.graph_class is not None and args.object != "graph":
         raise ValueError(f"--class is for object=graph, not {args.object}")
+    if args.object == "pattern" and not args.pattern:
+        raise ValueError("object=pattern needs -S")
+    if args.object == "graph" and not args.graph_class:
+        raise ValueError("object=graph needs --class")
     ctx = build_context(args.p)
     obj = {"p": args.p, "object": args.object}
     if args.object == "pattern":
-        if not args.pattern:
-            raise ValueError("object=pattern needs -S")
         obj["pattern"] = args.pattern.upper()
         obj["count"] = count_pattern(ctx, args.pattern)
     elif args.object == "graph":
-        if not args.graph_class:
-            raise ValueError("object=graph needs --class")
         counts = count_graph_classes(ctx)
         obj["class"] = args.graph_class
         obj["count"] = counts[GraphClass(args.graph_class)]

@@ -6,9 +6,9 @@ twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 All counts run over the tables of a FieldContext: one Horner pass and
 one root_counts gather per curve, and no count reads chi.  Every trace,
 cubic or quartic, comes from one law checked against the Hasse bound.
-Whether a model reduces well at p is read off its integer discriminant,
-computed once per model.  The identities these counts enter are checked
-in `claims`.
+A cubic or quartic model reduces well at p when p does not divide its
+integer discriminant, a classical closed form computed once per model.
+The identities these counts enter are checked in `claims`.
 """
 
 import functools
@@ -32,46 +32,25 @@ class HyperellipticSpec:
 
     @functools.cached_property
     def discriminant(self) -> int:
-        """The integer discriminant of f, computed once per spec."""
+        """The integer discriminant of a cubic or a quartic f, computed once
+        per spec; ValueError for any other degree."""
         return _discriminant(self.coeffs)
 
 
-def _determinant(rows: list[list[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def _discriminant(coeffs: tuple[int, ...]) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / a_n for f of degree n, with
-    coefficients in ascending order; 1 for n < 2.  The resultant is the
-    determinant of the Sylvester matrix of f and f'."""
-    n = len(coeffs) - 1
-    if n < 2:
-        return 1
-    f = list(reversed(coeffs))
-    g = [i * c for i, c in enumerate(coeffs)][:0:-1]  # f', descending
-    size = 2 * n - 1
-    sylvester = ([[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
-                 + [[0] * i + g + [0] * (size - n - i) for i in range(n)])
-    res = _determinant(sylvester)
-    disc, rem = divmod(res if n * (n - 1) // 2 % 2 == 0 else -res, coeffs[-1])
-    if rem:
-        raise ArithmeticError(f"resultant of {coeffs} not divisible by its leading coefficient")
-    return disc
+    """disc(f) for a cubic or a quartic f, coefficients in ascending order,
+    by the classical closed forms; for the quartic 27 disc = 4 I^3 - J^2
+    with its invariants I and J."""
+    if len(coeffs) == 4:
+        d, c, b, a = coeffs
+        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                - 27 * a * a * d * d + 18 * a * b * c * d)
+    if len(coeffs) == 5:
+        e, d, c, b, a = coeffs
+        i = 12 * a * e - 3 * b * d + c * c
+        j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c ** 3
+        return (4 * i ** 3 - j * j) // 27
+    raise ValueError("need a cubic or a quartic")
 
 
 # Named cubics and the quartic used throughout; all have leading
@@ -141,15 +120,6 @@ def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
     return reduce_mod(vals, p, out=spare)
 
 
-def is_squarefree_mod(spec: HyperellipticSpec, p: int) -> bool:
-    """Whether f is squarefree mod p.  With a unit leading coefficient the
-    discriminant reduces to that of f mod p, so this holds exactly when p
-    does not divide disc(f)."""
-    if spec.coeffs[-1] % p == 0:
-        raise ValueError("need a unit leading coefficient mod p")
-    return spec.discriminant % p != 0
-
-
 def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
     """Number of (x, y) with twist * y^2 = f(x)."""
     p = ctx.p
@@ -184,20 +154,22 @@ def _trace(p: int, affine: int, infinity: int) -> int:
 
 def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
     """Frobenius trace p + 1 - #projective of the smooth model of
-    twist * y^2 = f(x), for a cubic or quartic f with a unit leading
-    coefficient mod p.  Raises SingularCurve when f is not squarefree mod p."""
+    twist * y^2 = f(x).  Raises ValueError unless f is a cubic or a quartic
+    with a unit leading coefficient mod p, and SingularCurve when p divides
+    disc(f): with a unit leading coefficient, exactly when f is not
+    squarefree mod p."""
     p = ctx.p
-    if spec.degree() not in (3, 4):
-        raise ValueError("need a cubic or a quartic")
-    if not is_squarefree_mod(spec, p):
+    disc = spec.discriminant  # ValueError unless f is a cubic or a quartic
+    if spec.coeffs[-1] % p == 0:
+        raise ValueError("need a unit leading coefficient mod p")
+    if disc % p == 0:
         raise SingularCurve(f"f not squarefree mod {p}")
     return _trace(p, affine_count(ctx, spec), _infinity_count(ctx, spec))
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
-    """Traces of the five named genus-1 curves (smooth models)."""
-    if ctx.p <= 3:
-        raise SingularCurve(f"p={ctx.p}: not all named curves reduce well")
+    """Traces of the five named genus-1 curves (smooth models); raises
+    SingularCurve where one of them reduces badly, as b does at p = 3."""
     return {name: curve_trace(ctx, spec) for name, spec in NAMED_CURVES.items()}
 
 

@@ -387,6 +387,21 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     assert captured.err == f"error: MemoryError: Unable to allocate tables for p={p}\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["count", "pattern", "-p", "13"], "object=pattern needs -S"),
+    (["count", "graph", "-p", "13"], "object=graph needs --class"),
+])
+def test_count_checks_its_options_before_it_builds_tables(monkeypatch, capsys, argv, err):
+    def refuse(self, size):
+        raise MemoryError(f"Unable to allocate tables for p={size}")
+
+    monkeypatch.setattr(modarith.ContextArena, "_allocate", refuse)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {err}\n"
+
+
 def test_usage_error_leaves_out_untouched(monkeypatch, capsys, tmp_path):
     def no_work(*args):
         raise AssertionError("traces collected for a bound below the minimum")
