@@ -3,9 +3,10 @@ and surface identities: the CM cubic y^2 = x^3 - x and its shifts, the
 Edwards quartic x^2 + y^2 = 1 - x^2 y^2, the four lemniscatic quartic
 twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 
-All counts run over the tables of a FieldContext: one Horner pass and
-one root_counts gather per curve, and no count reads chi.  Every trace,
-cubic or quartic, comes from one law checked against the Hasse bound.
+Every curve is y^2 = f(x): the twist t*y^2 = f(x) is Y^2 = t*f(x) under
+Y = t*y.  Each count is one Horner pass, or one table of s^4, and one
+root_counts gather, and no count reads chi.  Every trace, cubic or
+quartic, comes from one law checked against the Hasse bound.
 A cubic or quartic model reduces well at p when p does not divide its
 integer discriminant, a classical closed form computed once per model.
 The identities these counts enter are checked in `claims`.
@@ -22,13 +23,9 @@ from .modarith import FieldContext, reduce_mod
 
 @dataclass(frozen=True)
 class HyperellipticSpec:
-    """Curve twist * y^2 = f(x), coeffs in ascending degree order."""
+    """Curve y^2 = f(x), coeffs in ascending degree order."""
 
     coeffs: tuple[int, ...]
-    twist: int = 1
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     @functools.cached_property
     def discriminant(self) -> int:
@@ -121,26 +118,16 @@ def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
 
 
 def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
-    """Number of (x, y) with twist * y^2 = f(x)."""
-    p = ctx.p
-    tw = spec.twist % p
-    if tw == 0:
-        raise ValueError("twist vanishes mod p")
-    vals = _poly_eval_all(ctx, spec.coeffs)
-    if tw != 1:
-        vals *= pow(tw, p - 2, p)
-        vals = reduce_mod(vals, p)
-    return int(ctx.root_counts[vals].sum())
+    """Number of (x, y) with y^2 = f(x)."""
+    return int(ctx.root_counts[_poly_eval_all(ctx, spec.coeffs)].sum())
 
 
-def _infinity_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
-    """Rational points at infinity of the smooth model: one for a cubic; for
-    a quartic, two when lead/twist is a square mod p, none otherwise."""
-    if spec.degree() == 3:
+def _infinity_count(ctx: FieldContext, coeffs: tuple[int, ...]) -> int:
+    """Rational points at infinity of the smooth model of y^2 = f(x): one
+    for a cubic, and for a quartic two when its lead is a square mod p."""
+    if len(coeffs) == 4:
         return 1
-    p = ctx.p
-    lead = spec.coeffs[-1] * pow(spec.twist % p, p - 2, p) % p
-    return 2 if ctx.root_counts[lead] == 2 else 0
+    return 2 if ctx.root_counts[coeffs[-1] % ctx.p] == 2 else 0
 
 
 def _trace(p: int, affine: int, infinity: int) -> int:
@@ -154,7 +141,7 @@ def _trace(p: int, affine: int, infinity: int) -> int:
 
 def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
     """Frobenius trace p + 1 - #projective of the smooth model of
-    twist * y^2 = f(x).  Raises ValueError unless f is a cubic or a quartic
+    y^2 = f(x).  Raises ValueError unless f is a cubic or a quartic
     with a unit leading coefficient mod p, and SingularCurve when p divides
     disc(f): with a unit leading coefficient, exactly when f is not
     squarefree mod p."""
@@ -164,7 +151,7 @@ def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
         raise ValueError("need a unit leading coefficient mod p")
     if disc % p == 0:
         raise SingularCurve(f"f not squarefree mod {p}")
-    return _trace(p, affine_count(ctx, spec), _infinity_count(ctx, spec))
+    return _trace(p, affine_count(ctx, spec), _infinity_count(ctx, spec.coeffs))
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
@@ -173,47 +160,36 @@ def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
     return {name: curve_trace(ctx, spec) for name, spec in NAMED_CURVES.items()}
 
 
-def quartic_spec(ctx: FieldContext, variant: int) -> HyperellipticSpec:
-    """The four twist variants u^2 = s^4+1, d*u^2 = s^4+1, u^2 = d^2 s^4+1,
-    d*u^2 = d^2 s^4+1, with d the context's non-residue."""
-    if variant not in (1, 2, 3, 4):
-        raise ValueError(f"variant must be 1..4, got {variant}")
-    c = 1 if variant in (1, 2) else ctx.delta * ctx.delta % ctx.p
-    tw = 1 if variant in (1, 3) else ctx.delta
-    return HyperellipticSpec((1, 0, 0, 0, c), twist=tw)
+def _biquadratic(ctx: FieldContext, c: int) -> np.ndarray:
+    """c*s^4 + 1 mod p for every s in 0..p-1, from the table of squares."""
+    f = ctx.squares[ctx.squares]  # s^4, a fresh array
+    f *= c % ctx.p
+    f += 1
+    return reduce_mod(f, ctx.p)
 
 
 def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
     """The count records of the four twist variants, in variant order.
 
-    Variants 1-2 share c = 1 and variants 3-4 share c = delta^2, so each
-    quartic f = c*s^4 + 1 is evaluated once, from one table of s^4.  The
-    zero locus is {u = 0}, the zeros of f, plus {s = 0}, the roots of
-    u^2 = 1/twist.
+    Variant tw*u^2 = f, f = c*s^4 + 1, is counted as U^2 = tw*f.  Variants
+    1-2 share c = 1 and variants 3-4 share c = delta^2, so each f is
+    evaluated once.  The zero locus is {u = 0}, the zeros of f, plus
+    {s = 0}, the roots of u^2 = 1/tw, as many as those of u^2 = tw.
     """
     p = ctx.p
     if p < 5:
         raise SingularCurve(f"p={p}: quartic degenerates")
-    s4 = ctx.squares[ctx.squares]
     rows = []
-    for pair in ((1, 2), (3, 4)):
-        c = quartic_spec(ctx, pair[0]).coeffs[-1]
-        if c == 1:
-            f = s4 + 1
-        else:
-            f = s4 * c
-            f += 1
-        f = reduce_mod(f, p)
+    for c, pair in ((1, (1, 2)), (ctx.delta ** 2 % p, (3, 4))):
+        f = _biquadratic(ctx, c)
         f_zeros = p - int(np.count_nonzero(f))
-        for variant in pair:
-            spec = quartic_spec(ctx, variant)
-            tw_inv = pow(spec.twist % p, p - 2, p)
-            vals = f if tw_inv == 1 else reduce_mod(f * tw_inv, p)
+        for variant, tw in zip(pair, (1, ctx.delta)):
+            vals = f if tw == 1 else reduce_mod(f * tw, p)
             affine = int(ctx.root_counts[vals].sum())
-            infinity = _infinity_count(ctx, spec)
+            infinity = _infinity_count(ctx, (tw, 0, 0, 0, tw * c))
             rows.append(CountRecord(
                 p, QUARTIC_VARIANT_NAMES[variant], affine, infinity,
-                f_zeros + int(ctx.root_counts[tw_inv]),
+                f_zeros + int(ctx.root_counts[tw]),
                 _trace(p, affine, infinity)))
     return rows
 
@@ -221,16 +197,13 @@ def quartic_rows(ctx: FieldContext) -> list[CountRecord]:
 def edwards_affine(ctx: FieldContext) -> int:
     """Affine solutions of x^2 + y^2 = 1 - x^2 y^2 for p = 1 mod 4.
 
-    For 1 + x^2 != 0 the solution count in y matches y^2 = (1-x^2)(1+x^2);
-    when 1 + x^2 = 0 there is no solution.
+    For 1 + x^2 != 0 the solution count in y matches y^2 = 1 - x^4, from
+    the quartic rows' table of s^4.  The two x with 1 + x^2 = 0 give one
+    point (x, 0) of y^2 = 1 - x^4 each but none here, where it reads 0 = 2.
     """
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} is not 1 mod 4")
-    p = ctx.p
-    sq = ctx.squares
-    mask = reduce_mod(sq + 1, p) != 0
-    vals = reduce_mod(1 - sq[sq], p)  # 1 - x^4
-    return int(ctx.root_counts[vals[mask]].sum())
+    return int(ctx.root_counts[_biquadratic(ctx, -1)].sum()) - 2
 
 
 def genus2_involution_check(ctx: FieldContext) -> tuple[int, int]:

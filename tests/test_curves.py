@@ -21,15 +21,19 @@ from residue_lab import (
     quartic_rows,
 )
 from residue_lab import curves
-from residue_lab.curves import (
-    GENUS2_QUINTIC,
-    NAMED_CURVES,
-    WEIERSTRASS_CM,
-    quartic_spec,
-)
+from residue_lab.curves import GENUS2_QUINTIC, NAMED_CURVES, WEIERSTRASS_CM
 from residue_lab.claims import CLAIMS, expected_quartic_table, fiber_buckets
 
 _PRIMES_BELOW_2000 = primes_in(3, 1999)
+
+
+def quartic_spec(ctx, variant):
+    """The four twist variants u^2 = s^4+1, d*u^2 = s^4+1, u^2 = d^2 s^4+1,
+    d*u^2 = d^2 s^4+1, with d the context's non-residue; the twist
+    tw*u^2 = c*s^4 + 1 is the curve U^2 = tw*(c*s^4 + 1) under U = tw*u."""
+    c = 1 if variant in (1, 2) else ctx.delta * ctx.delta % ctx.p
+    tw = 1 if variant in (1, 3) else ctx.delta
+    return HyperellipticSpec((tw, 0, 0, 0, tw * c))
 
 
 def test_affine_count_cm_cubic():
@@ -47,10 +51,12 @@ def test_affine_count_matches_brute():
 
 
 def test_affine_count_with_twist():
+    # the twist d*y^2 = f(x) is counted as Y^2 = d*f(x), Y = d*y
+    f = WEIERSTRASS_CM.coeffs
     for p in primes_in(5, 50):
         ctx = build_context(p)
-        spec = HyperellipticSpec((0, -1, 0, 1), twist=ctx.delta)
-        assert affine_count(ctx, spec) == brute.affine_count(p, spec.coeffs, ctx.delta)
+        scaled = HyperellipticSpec(tuple(ctx.delta * a for a in f))
+        assert affine_count(ctx, scaled) == brute.affine_count(p, f, twist=ctx.delta)
 
 
 def test_weierstrass_trace_values():
@@ -200,13 +206,19 @@ def test_curve_trace_matches_quartic_rows(oracle):
 
 
 def test_quartic_matches_brute_counts():
-    for p in (13, 17, 29):
+    # every counted column, on the twisted model tw*u^2 = c*s^4 + 1 itself
+    for p in primes_in(5, 99):
         for oracle in (False, True):
             ctx = build_context(p, counting_oracle=oracle)
             for v, rec in enumerate(quartic_rows(ctx), start=1):
                 c = 1 if v in (1, 2) else ctx.delta ** 2 % p
                 tw = 1 if v in (1, 3) else ctx.delta
                 assert rec.affine_count == brute.affine_count(p, (1, 0, 0, 0, c), tw), (p, v)
+                lead = brute.legendre(c * pow(tw, -1, p), p)
+                assert rec.infinity_count == (2 if lead == 1 else 0), (p, v)
+                zeros = (sum(1 for s in range(p) if (c * s ** 4 + 1) % p == 0)
+                         + sum(1 for u in range(p) if tw * u * u % p == 1))
+                assert rec.zero_locus_count == zeros, (p, v)
 
 
 def test_quartic_trace_ties_to_jacobsthal():
@@ -228,6 +240,16 @@ def test_edwards_affine_frozen():
 def test_edwards_affine_matches_brute():
     for p in primes_in(5, 60, (1, 4)):
         assert edwards_affine(build_context(p)) == brute.edwards_affine(p), p
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_edwards_affine_matches_horner_route(oracle):
+    # y^2 = 1 - x^4 by Horner, less its two points (+-sqrt(-1), 0), which
+    # the Edwards curve lacks
+    quartic = HyperellipticSpec((1, 0, 0, 0, -1))
+    for p in primes_in(5, 1999, (1, 4)):
+        ctx = build_context(p, counting_oracle=oracle)
+        assert edwards_affine(ctx) == affine_count(ctx, quartic) - 2, p
 
 
 def test_verify_gauss_edwards():

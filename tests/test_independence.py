@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from residue_lab import claims, curves, k3, modarith, patterns, quadgraphs
-from residue_lab.curves import (NAMED_CURVES, WEIERSTRASS_CM, HyperellipticSpec, affine_count,
+from residue_lab.curves import (NAMED_CURVES, WEIERSTRASS_CM, affine_count,
                                curve_trace, edwards_affine, named_curve_traces)
 from residue_lab.modarith import ContextArena, FieldContext, build_context, cm_decompose
 from residue_lab.patterns import (count_pattern, jacobsthal, pattern_census,
@@ -61,9 +61,6 @@ _KERNEL_READS = {
     "quadgraphs.count_graph_classes": (quadgraphs.count_graph_classes, {"root_counts"}),
     "curves.affine_count": (lambda ctx: affine_count(ctx, WEIERSTRASS_CM),
                             {"index", "root_counts"}),
-    "curves.affine_count twisted": (
-        lambda ctx: affine_count(ctx, HyperellipticSpec((0, -1, 0, 1), twist=3)),
-        {"index", "root_counts"}),
     "curves.edwards_affine": (edwards_affine, {"squares", "root_counts"}),
     "curves.curve_trace quartic": (lambda ctx: curve_trace(ctx, NAMED_CURVES["e"]),
                                    {"index", "root_counts"}),
