@@ -34,7 +34,6 @@ from .quadgraphs import (
 )
 from .curves import (
     CountRecord,
-    HyperellipticSpec,
     affine_count,
     curve_trace,
     edwards_affine,

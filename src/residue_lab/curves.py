@@ -3,16 +3,16 @@ and surface identities: the CM cubic y^2 = x^3 - x and its shifts, the
 Edwards quartic x^2 + y^2 = 1 - x^2 y^2, the four lemniscatic quartic
 twists u^2 = c s^4 + 1, and the genus-2 quintic with its extra involution.
 
-Every curve is y^2 = f(x): the twist t*y^2 = f(x) is Y^2 = t*f(x) under
-Y = t*y.  Each count is one Horner pass, or one table of s^4, and one
-root_counts gather, and no count reads chi.  Every trace, cubic or
-quartic, comes from one law checked against the Hasse bound.
+Every curve is y^2 = f(x), given as the tuple of f's coefficients in
+ascending degree: the twist t*y^2 = f(x) is Y^2 = t*f(x) under Y = t*y.
+Each count is one Horner pass, or one table of s^4, and one root_counts
+gather, and no count reads chi.  Every trace, cubic or quartic, comes
+from one law checked against the Hasse bound.
 A cubic or quartic model reduces well at p when p does not divide its
-integer discriminant, a classical closed form computed once per model.
+integer discriminant, a classical closed form computed at each call.
 The identities these counts enter are checked in `claims`.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,29 +21,16 @@ from .errors import SingularCurve, WrongResidueClass
 from .modarith import FieldContext, reduce_mod
 
 
-@dataclass(frozen=True)
-class HyperellipticSpec:
-    """Curve y^2 = f(x), coeffs in ascending degree order."""
-
-    coeffs: tuple[int, ...]
-
-    @functools.cached_property
-    def discriminant(self) -> int:
-        """The integer discriminant of a cubic or a quartic f, computed once
-        per spec; ValueError for any other degree."""
-        return _discriminant(self.coeffs)
-
-
-def _discriminant(coeffs: tuple[int, ...]) -> int:
+def discriminant(f: tuple[int, ...]) -> int:
     """disc(f) for a cubic or a quartic f, coefficients in ascending order,
     by the classical closed forms; for the quartic 27 disc = 4 I^3 - J^2
-    with its invariants I and J."""
-    if len(coeffs) == 4:
-        d, c, b, a = coeffs
+    with its invariants I and J.  ValueError for any other degree."""
+    if len(f) == 4:
+        d, c, b, a = f
         return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                 - 27 * a * a * d * d + 18 * a * b * c * d)
-    if len(coeffs) == 5:
-        e, d, c, b, a = coeffs
+    if len(f) == 5:
+        e, d, c, b, a = f
         i = 12 * a * e - 3 * b * d + c * c
         j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c ** 3
         return (4 * i ** 3 - j * j) // 27
@@ -52,15 +39,15 @@ def _discriminant(coeffs: tuple[int, ...]) -> int:
 
 # Named cubics and the quartic used throughout; all have leading
 # coefficient 1 and good reduction at every p >= 5.
-WEIERSTRASS_CM = HyperellipticSpec((0, -1, 0, 1))          # y^2 = x^3 - x
+WEIERSTRASS_CM = (0, -1, 0, 1)             # y^2 = x^3 - x
 NAMED_CURVES = {
-    "a": HyperellipticSpec((0, 2, 3, 1)),                  # x(x+1)(x+2)
-    "b": HyperellipticSpec((0, 3, 4, 1)),                  # x(x+1)(x+3)
-    "c": HyperellipticSpec((0, 6, 5, 1)),                  # x(x+2)(x+3)
-    "d": HyperellipticSpec((6, 11, 6, 1)),                 # (x+1)(x+2)(x+3)
-    "e": HyperellipticSpec((0, 6, 11, 6, 1)),              # x(x+1)(x+2)(x+3)
+    "a": (0, 2, 3, 1),                     # x(x+1)(x+2)
+    "b": (0, 3, 4, 1),                     # x(x+1)(x+3)
+    "c": (0, 6, 5, 1),                     # x(x+2)(x+3)
+    "d": (6, 11, 6, 1),                    # (x+1)(x+2)(x+3)
+    "e": (0, 6, 11, 6, 1),                 # x(x+1)(x+2)(x+3)
 }
-GENUS2_QUINTIC = HyperellipticSpec((0, 24, 50, 35, 10, 1))  # x(x+1)...(x+4)
+GENUS2_QUINTIC = (0, 24, 50, 35, 10, 1)    # x(x+1)...(x+4)
 
 QUARTIC_VARIANT_NAMES = {
     1: "u^2=s^4+1",
@@ -117,9 +104,10 @@ def _poly_eval_all(ctx: FieldContext, coeffs) -> np.ndarray:
     return reduce_mod(vals, p, out=spare)
 
 
-def affine_count(ctx: FieldContext, spec: HyperellipticSpec) -> int:
-    """Number of (x, y) with y^2 = f(x)."""
-    return int(ctx.root_counts[_poly_eval_all(ctx, spec.coeffs)].sum())
+def affine_count(ctx: FieldContext, f: tuple[int, ...]) -> int:
+    """Number of (x, y) with y^2 = f(x), f's coefficients in ascending
+    degree."""
+    return int(ctx.root_counts[_poly_eval_all(ctx, f)].sum())
 
 
 def _infinity_count(ctx: FieldContext, coeffs: tuple[int, ...]) -> int:
@@ -139,25 +127,25 @@ def _trace(p: int, affine: int, infinity: int) -> int:
     return trace
 
 
-def curve_trace(ctx: FieldContext, spec: HyperellipticSpec) -> int:
+def curve_trace(ctx: FieldContext, f: tuple[int, ...]) -> int:
     """Frobenius trace p + 1 - #projective of the smooth model of
-    y^2 = f(x).  Raises ValueError unless f is a cubic or a quartic
-    with a unit leading coefficient mod p, and SingularCurve when p divides
-    disc(f): with a unit leading coefficient, exactly when f is not
-    squarefree mod p."""
+    y^2 = f(x), f's coefficients in ascending degree.  Raises ValueError
+    unless f is a cubic or a quartic with a unit leading coefficient mod p,
+    and SingularCurve when p divides disc(f): with a unit leading
+    coefficient, exactly when f is not squarefree mod p."""
     p = ctx.p
-    disc = spec.discriminant  # ValueError unless f is a cubic or a quartic
-    if spec.coeffs[-1] % p == 0:
+    disc = discriminant(f)  # ValueError unless f is a cubic or a quartic
+    if f[-1] % p == 0:
         raise ValueError("need a unit leading coefficient mod p")
     if disc % p == 0:
         raise SingularCurve(f"f not squarefree mod {p}")
-    return _trace(p, affine_count(ctx, spec), _infinity_count(ctx, spec.coeffs))
+    return _trace(p, affine_count(ctx, f), _infinity_count(ctx, f))
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:
     """Traces of the five named genus-1 curves (smooth models); raises
     SingularCurve where one of them reduces badly, as b does at p = 3."""
-    return {name: curve_trace(ctx, spec) for name, spec in NAMED_CURVES.items()}
+    return {name: curve_trace(ctx, f) for name, f in NAMED_CURVES.items()}
 
 
 def _biquadratic(ctx: FieldContext, c: int) -> np.ndarray:
@@ -218,7 +206,7 @@ def genus2_involution_check(ctx: FieldContext) -> tuple[int, int]:
     if ctx.k is None:
         raise WrongResidueClass(f"p={ctx.p} has no square root of -1")
     p = ctx.p
-    f = _poly_eval_all(ctx, GENUS2_QUINTIC.coeffs)
+    f = _poly_eval_all(ctx, GENUS2_QUINTIC)
     i_unit = pow(ctx.delta, (p - 1) // 4, p)
     # one square root per residue class: later writes win, any root works
     some_root = np.zeros(p, dtype=np.int64)

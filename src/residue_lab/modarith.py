@@ -17,6 +17,7 @@ prime's data.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,9 +196,12 @@ def build_context(p: int, counting_oracle: bool = False,
 
 
 def primes_in(lo: int, hi: int, residue_filter: tuple[int, int] | None = None) -> list[int]:
-    """Ascending primes in [lo, hi], optionally restricted to p = r mod m."""
+    """Ascending primes in [lo, hi], optionally restricted to p = r mod m.
+    ValueError for hi >= sys.maxsize, whose sieve no index can address."""
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if hi >= sys.maxsize:
+        raise ValueError(f"need hi < {sys.maxsize}, got {hi}")
     sieve = bytearray([1]) * (hi + 1)
     sieve[0] = sieve[1] = 0
     for q in range(2, math.isqrt(hi) + 1):

@@ -415,6 +415,17 @@ def test_usage_error_leaves_out_untouched(monkeypatch, capsys, tmp_path):
     assert out.read_bytes() == b"bin_lo,bin_hi,count,density\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "identity5"], ["satotate", "e"]])
+def test_max_p_past_the_index_range_exits_2(capsys, command):
+    # a prime above 2^63: its sieve cannot be indexed, a usage error and
+    # not a broken invariant
+    assert cli.main([*command, "--max-p", "9223372036854775837"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_stale_context_read_exits_3(monkeypatch, capsys, two_cpus, jobs):
     # a kernel that keeps a context past its prime would read overwritten

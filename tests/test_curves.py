@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab import (
-    HyperellipticSpec,
     SingularCurve,
     WrongResidueClass,
     affine_count,
@@ -33,7 +32,7 @@ def quartic_spec(ctx, variant):
     tw*u^2 = c*s^4 + 1 is the curve U^2 = tw*(c*s^4 + 1) under U = tw*u."""
     c = 1 if variant in (1, 2) else ctx.delta * ctx.delta % ctx.p
     tw = 1 if variant in (1, 3) else ctx.delta
-    return HyperellipticSpec((tw, 0, 0, 0, tw * c))
+    return (tw, 0, 0, 0, tw * c)
 
 
 def test_affine_count_cm_cubic():
@@ -43,19 +42,19 @@ def test_affine_count_cm_cubic():
 
 def test_affine_count_matches_brute():
     specs = [WEIERSTRASS_CM, NAMED_CURVES["b"], NAMED_CURVES["e"],
-             HyperellipticSpec((3, 1, 0, 1)), HyperellipticSpec((1, 0, 0, 0, 1))]
+             (3, 1, 0, 1), (1, 0, 0, 0, 1)]
     for p in primes_in(5, 50):
         ctx = build_context(p)
         for spec in specs:
-            assert affine_count(ctx, spec) == brute.affine_count(p, spec.coeffs), (p, spec)
+            assert affine_count(ctx, spec) == brute.affine_count(p, spec), (p, spec)
 
 
 def test_affine_count_with_twist():
     # the twist d*y^2 = f(x) is counted as Y^2 = d*f(x), Y = d*y
-    f = WEIERSTRASS_CM.coeffs
+    f = WEIERSTRASS_CM
     for p in primes_in(5, 50):
         ctx = build_context(p)
-        scaled = HyperellipticSpec(tuple(ctx.delta * a for a in f))
+        scaled = tuple(ctx.delta * a for a in f)
         assert affine_count(ctx, scaled) == brute.affine_count(p, f, twist=ctx.delta)
 
 
@@ -77,15 +76,15 @@ def test_singular_curve_detection():
 
 
 def test_discriminant_values():
-    assert WEIERSTRASS_CM.discriminant == 4                           # -4a^3 - 27b^2
-    assert HyperellipticSpec((1, 1, 0, 1)).discriminant == -31
-    assert NAMED_CURVES["e"].discriminant == (1 * 2 * 3 * 1 * 2 * 1) ** 2
-    assert HyperellipticSpec((0, 0, 1, 1)).discriminant == 0          # x^2 (x + 1)
+    assert curves.discriminant(WEIERSTRASS_CM) == 4    # -4a^3 - 27b^2
+    assert curves.discriminant((1, 1, 0, 1)) == -31
+    assert curves.discriminant(NAMED_CURVES["e"]) == (1 * 2 * 3 * 1 * 2 * 1) ** 2
+    assert curves.discriminant((0, 0, 1, 1)) == 0      # x^2 (x + 1)
 
 
 def test_discriminant_needs_a_cubic_or_a_quartic():
     with pytest.raises(ValueError):
-        GENUS2_QUINTIC.discriminant
+        curves.discriminant(GENUS2_QUINTIC)
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,9 +96,14 @@ def test_discriminant_from_roots(lead, roots):
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
     n = len(roots)
-    disc = HyperellipticSpec(tuple(coeffs)).discriminant
+    disc = curves.discriminant(tuple(coeffs))
     assert disc == lead ** (2 * n - 2) * prod((r - s) ** 2 for r, s in combinations(roots, 2))
     assert (disc == 0) == (len(set(roots)) < n)
+    # disc is homogeneous of degree 2n - 2 in the coefficients
+    for t in range(-5, 6):
+        if t:
+            scaled = curves.discriminant(tuple(t * a for a in coeffs))
+            assert scaled == t ** (2 * n - 2) * disc, (coeffs, t)
 
 
 @functools.cache
@@ -110,23 +114,30 @@ def _contexts_below_2000():
 def _agrees_with_gcd_oracle(coeffs):
     # curve_trace's rule: ValueError where p divides the leading
     # coefficient, else SingularCurve exactly when the gcd(f, f') oracle
-    # finds f not squarefree mod p, and a trace otherwise
-    spec = HyperellipticSpec(tuple(coeffs))
+    # finds f not squarefree mod p, and a trace otherwise.  Each trace
+    # obeys the twist law: the quadratic twist by the non-residue delta
+    # negates it, N(f) + N(delta f) = 2p + 2, and scaling f by a square
+    # leaves it unchanged.
+    f = tuple(coeffs)
     for ctx in _contexts_below_2000():
         p = ctx.p
         if coeffs[-1] % p == 0:
             with pytest.raises(ValueError):
-                curve_trace(ctx, spec)
+                curve_trace(ctx, f)
         elif brute.is_squarefree_mod(coeffs, p):
-            assert isinstance(curve_trace(ctx, spec), int), (coeffs, p)
+            t = curve_trace(ctx, f)
+            assert isinstance(t, int), (coeffs, p)
+            s = 1 + p // 3  # a unit other than 1
+            assert curve_trace(ctx, tuple(ctx.delta * a for a in f)) == -t, (coeffs, p)
+            assert curve_trace(ctx, tuple(s * s * a for a in f)) == t, (coeffs, p)
         else:
             with pytest.raises(SingularCurve):
-                curve_trace(ctx, spec)
+                curve_trace(ctx, f)
 
 
 def test_squarefree_criterion_on_registry_curves():
     for spec in [WEIERSTRASS_CM, *NAMED_CURVES.values()]:
-        _agrees_with_gcd_oracle(list(spec.coeffs))
+        _agrees_with_gcd_oracle(list(spec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +257,7 @@ def test_edwards_affine_matches_brute():
 def test_edwards_affine_matches_horner_route(oracle):
     # y^2 = 1 - x^4 by Horner, less its two points (+-sqrt(-1), 0), which
     # the Edwards curve lacks
-    quartic = HyperellipticSpec((1, 0, 0, 0, -1))
+    quartic = (1, 0, 0, 0, -1)
     for p in primes_in(5, 1999, (1, 4)):
         ctx = build_context(p, counting_oracle=oracle)
         assert edwards_affine(ctx) == affine_count(ctx, quartic) - 2, p
@@ -287,7 +298,7 @@ def test_genus2_involution_checks_every_point_above_old_prefix():
     # p = 50021 = 1 mod 4 has more than 50,000 points; all are checked
     p = 50021
     mismatches, checked = genus2_involution_check(build_context(p))
-    f = brute.poly_eval_horner(p, GENUS2_QUINTIC.coeffs)
+    f = brute.poly_eval_horner(p, GENUS2_QUINTIC)
     on_curve_x = sum(1 for v in f if brute.legendre(v, p) >= 0)
     assert mismatches == 0
     assert checked == 2 * on_curve_x > 50000
@@ -328,13 +339,13 @@ def test_fiber_pattern_counts():
     (100003, NAMED_CURVES["e"]),
     (100003, WEIERSTRASS_CM),  # a negative coefficient
     # leading coefficients other than 1, which no registered curve has
-    (101, HyperellipticSpec((5, 3))),
-    (10007, HyperellipticSpec((7, 0, -2, 3))),
-    (100003, HyperellipticSpec((1, 2, 3, 4, 99991))),
-    (100003, HyperellipticSpec((0, 0, 0, 0, 0, -1))),
+    (101, (5, 3)),
+    (10007, (7, 0, -2, 3)),
+    (100003, (1, 2, 3, 4, 99991)),
+    (100003, (0, 0, 0, 0, 0, -1)),
 ])
 def test_poly_eval_all_matches_per_step_horner(p, spec):
     ctx = build_context(p)
-    got = curves._poly_eval_all(ctx, spec.coeffs)
-    assert got.tolist() == brute.poly_eval_horner(p, spec.coeffs)
+    got = curves._poly_eval_all(ctx, spec)
+    assert got.tolist() == brute.poly_eval_horner(p, spec)
     assert ctx.index.tolist() == list(range(p))

@@ -10,6 +10,7 @@ from residue_lab import (
     ks_distance,
     primes_in,
 )
+from residue_lab import curves
 from residue_lab.stats import _REGISTRY, _cdf_values, curve_ids, histogram
 
 
@@ -115,16 +116,16 @@ def test_registered_models_reduce_well_from_5():
     # above 3 give good reduction at every p >= 5
     discriminants = []
     for curve in curve_ids():
-        spec = _REGISTRY[curve]
-        assert abs(spec.coeffs[-1]) == 1, curve
-        d = spec.discriminant
+        f = _REGISTRY[curve]
+        assert abs(f[-1]) == 1, curve
+        d = curves.discriminant(f)
         assert d != 0, curve
         while d % 2 == 0:
             d //= 2
         while d % 3 == 0:
             d //= 3
-        assert abs(d) == 1, (curve, spec.discriminant)
-        discriminants.append(spec.discriminant)
+        assert abs(d) == 1, (curve, curves.discriminant(f))
+        discriminants.append(curves.discriminant(f))
         assert collect_traces(curve, 2000).skipped == [], curve
     assert discriminants == [4, 36, 36, 4, 144, 4]
 
