@@ -26,7 +26,10 @@ and failed, then a FAILED line naming the failing primes if there are any.
 but graph; it checks that pattern has -S and graph has --class before it
 builds the tables of p, so a missing option is a usage error at any p.
 `satotate` composes its line from `stats.collect_traces` and
-`stats.ks_distance`, and its --out CSV from `stats.histogram`.
+`stats.ks_distance`, and its --out CSV from `stats.histogram`; from
+p = 500 on its traces come from baby-step giant-step rather than a count
+of every point, with the same integers, while every trace `verify` reads
+is counted point by point.
 """
 
 import argparse

@@ -11,8 +11,16 @@ from one law checked against the Hasse bound.
 A cubic or quartic model reduces well at p when p does not divide its
 integer discriminant, a classical closed form computed at each call.
 The identities these counts enter are checked in `claims`.
+
+A trace has two routes, which share the good-reduction rule and the
+trace law and nothing else.  curve_trace counts every point, in O(p),
+and every trace a claim reads comes from it.  bsgs_trace finds the group
+order of a few points by baby-step giant-step, in O(p^(1/4)) group
+operations and no table; only stats.collect_traces takes it, and the
+tests pin it to curve_trace, its oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +65,13 @@ QUARTIC_VARIANT_NAMES = {
 }
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Values of x bsgs_trace tries before it leaves a prime to the Horner
+# count.  Past p = 229 the curve or its twist has a point whose order has
+# one multiple in the Hasse interval (Mestre, in Schoof 1995).  Over
+# 500 <= p <= 10^5 the first point left more than one candidate at 3-7 %
+# of the primes for e, a, b and the CM curve, and none needed more than 9.
+_BSGS_POINTS = 16
 
 # Values of x per block of the genus-2 check; bounds its temporaries.
 _GENUS2_CHUNK = 1 << 14
@@ -127,19 +142,131 @@ def _trace(p: int, affine: int, infinity: int) -> int:
     return trace
 
 
-def curve_trace(ctx: FieldContext, f: tuple[int, ...]) -> int:
-    """Frobenius trace p + 1 - #projective of the smooth model of
-    y^2 = f(x), f's coefficients in ascending degree.  Raises ValueError
-    unless f is a cubic or a quartic with a unit leading coefficient mod p,
-    and SingularCurve when p divides disc(f): with a unit leading
-    coefficient, exactly when f is not squarefree mod p."""
-    p = ctx.p
+def _good_reduction(p: int, f: tuple[int, ...]) -> None:
+    """The one rule both trace routes apply.  Raises ValueError unless f is
+    a cubic or a quartic with a unit leading coefficient mod p, and
+    SingularCurve when p divides disc(f): with a unit leading coefficient,
+    exactly when f is not squarefree mod p."""
     disc = discriminant(f)  # ValueError unless f is a cubic or a quartic
     if f[-1] % p == 0:
         raise ValueError("need a unit leading coefficient mod p")
     if disc % p == 0:
         raise SingularCurve(f"f not squarefree mod {p}")
-    return _trace(p, affine_count(ctx, f), _infinity_count(ctx, f))
+
+
+def curve_trace(ctx: FieldContext, f: tuple[int, ...]) -> int:
+    """Frobenius trace p + 1 - #projective of the smooth model of
+    y^2 = f(x), f's coefficients in ascending degree, by counting every
+    point.  Raises as _good_reduction does."""
+    _good_reduction(ctx.p, f)
+    return _trace(ctx.p, affine_count(ctx, f), _infinity_count(ctx, f))
+
+
+def _weierstrass_model(p: int, f: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """(a, b, c) mod p of a cubic y^2 = x^3 + a x^2 + b x + c whose smooth
+    model is isomorphic to that of y^2 = f(x), or None: f itself when it
+    is a monic cubic, and for a quartic a4 x^4 + a3 x^3 + a2 x^2 + a1 x
+    (a1 a unit where p does not divide disc(f)) its image
+    V^2 = U^3 + a2 U^2 + a1 a3 U + a1^2 a4 under x = 1/X, U = a1 X,
+    V = a1 y X^2.  Any other model is None."""
+    if len(f) == 4 and f[3] % p == 1:
+        return f[2] % p, f[1] % p, f[0] % p
+    if len(f) == 5 and f[0] % p == 0:
+        _, a1, a2, a3, a4 = f
+        return a2 % p, a1 * a3 % p, a1 * a1 * a4 % p
+    return None
+
+
+def bsgs_trace(p: int, f: tuple[int, ...]) -> int | None:
+    """The trace curve_trace counts, from the orders of a few points, in
+    O(p^(1/4)) group operations each (baby-step giant-step, Shanks 1971),
+    or None where this route cannot tell: f has no _weierstrass_model, or
+    _BSGS_POINTS values of x leave more than one candidate.  Raises as
+    _good_reduction does.  Takes no FieldContext and reads no table.
+
+    On the model y^2 = g(x) = x^3 + a x^2 + b x + c, for each x0 from
+    p // 2 on with d = g(x0) != 0, the point (d x0, d^2) lies on the twist
+    Y^2 = X^3 + a d X^2 + b d^2 X + c d^3, of order p + 1 - chi(d) a_p with
+    chi(d) by Euler's criterion.  Every multiple of the point's order in
+    the Hasse interval gives a candidate trace, and each point narrows the
+    candidates the ones before it left.  Small fixed x0 would give
+    rational torsion points, such as (0, 6) on the model of e.
+    """
+    _good_reduction(p, f)
+    model = _weierstrass_model(p, f)
+    if model is None:
+        return None
+    a, b, c = model
+    ta = tb = 0  # the twist's a d and b d^2, read by add
+
+    def add(P, Q):
+        # affine points as (x, y), the point at infinity as None
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + 2 * ta * x1 + tb) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - ta - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    def mul(n, P):
+        R = P
+        for bit in bin(n)[3:]:
+            R = add(R, R)
+            if bit == "1":
+                R = add(R, P)
+        return R
+
+    t = math.isqrt(4 * p)  # |a_p| <= t, as 4p is not a square
+    lo, hi = p + 1 - t, p + 1 + t
+    s = math.isqrt(t)  # s baby steps, about as many giant steps
+    traces = None
+    for x0 in range(p // 2, p // 2 + _BSGS_POINTS):
+        d = (((x0 + a) * x0 + b) * x0 + c) % p
+        if d == 0:
+            continue
+        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+        ta, tb = a * d % p, b * d * d % p
+        P = (d * x0 % p, d * d % p)
+        # baby steps jP, j = 1..s, keyed by x; the first y = 0 or repeated
+        # x (jP = -j'P) gives the order of P when it is at most 2s
+        baby, S, R, order = {}, None, P, 0
+        for j in range(1, s + 1):
+            x, y = R
+            if y == 0:
+                order = 2 * j
+                break
+            if x in baby:
+                order = j + baby[x][0]
+                break
+            baby[x] = (j, y)
+            S, R = R, add(R, P)
+        if order:
+            orders = range(-(-lo // order) * order, hi + 1, order)
+        else:
+            # giant steps: Q = [mid]P = +-jP puts mid -+ j in the window
+            # [mid - s, mid + s]; the windows tile [lo, hi]
+            G, Q, orders = add(S, R), mul(lo + s, P), []  # G = [2s + 1]P
+            for mid in range(lo + s, hi + s + 1, 2 * s + 1):
+                if Q is None:
+                    orders.append(mid)
+                elif Q[0] in baby:
+                    j, y = baby[Q[0]]
+                    orders.append(mid - j if Q[1] == y else mid + j)
+                Q = add(Q, G)
+        found = {chi * _trace(p, m, 0) for m in orders if m <= hi}
+        traces = found if traces is None else traces & found
+        if not traces:
+            raise ArithmeticError(f"no group order in the Hasse interval at p={p}")
+        if len(traces) == 1:
+            return traces.pop()
+    return None
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:

@@ -6,6 +6,12 @@ semicircle law (non-CM curves) and the arcsine law (CM curves at split
 primes, cos of a uniform angle) by Kolmogorov-Smirnov distance, and bins
 them into fixed 40-bin histograms.  The `satotate` command composes its
 report from these three pieces.
+
+The traces are data for these statistics, and no closed form checks
+them, so collect_traces takes them from baby-step giant-step
+(curves.bsgs_trace) from _BSGS_FROM on, and from the Horner count
+(curves.curve_trace) below it and wherever that route gives up.  The
+two routes give the same integers; the claims read only the Horner one.
 """
 
 import math
@@ -23,6 +29,12 @@ HISTOGRAM_BINS = 40
 # p >= 5.
 _REGISTRY = dict(curves.NAMED_CURVES)
 _REGISTRY["weierstrass"] = curves.WEIERSTRASS_CM
+
+# collect_traces takes the Horner count below this prime: there one
+# Horner count costs about what baby-step giant-step does, and below
+# p = 229 a curve and its twist may have no point whose order has one
+# multiple in the Hasse interval (Mestre), so the route would give up.
+_BSGS_FROM = 500
 
 
 @dataclass(frozen=True)
@@ -48,7 +60,12 @@ def collect_traces(curve: str, bound: int,
 
     Primes below 5 stay out of every collection (the quartic models lose
     good reduction there); bad-reduction primes inside the range are
-    recorded in `skipped`.  The contexts are built in one arena.
+    recorded in `skipped`, by the one rule both routes apply.  From
+    _BSGS_FROM on each trace comes from curves.bsgs_trace, which needs no
+    tables; below it, and at any prime that route cannot tell, from the
+    Horner count curves.curve_trace, its oracle in the tests.  The Horner
+    contexts share one arena, sized for the largest prime below
+    _BSGS_FROM and grown only for a prime the other route gives up.
     """
     spec = _REGISTRY.get(curve)
     if spec is None:
@@ -57,11 +74,12 @@ def collect_traces(curve: str, bound: int,
         raise ValueError("need bound >= 5")
     coll = TraceCollection(curve)
     primes = primes_in(5, bound, residue_filter)
-    arena = ContextArena(max(primes, default=0))
+    arena = ContextArena(max((p for p in primes if p < _BSGS_FROM), default=0))
     for p in primes:
-        ctx = build_context(p, arena=arena)
         try:
-            trace = curves.curve_trace(ctx, spec)
+            trace = curves.bsgs_trace(p, spec) if p >= _BSGS_FROM else None
+            if trace is None:
+                trace = curves.curve_trace(build_context(p, arena=arena), spec)
         except SingularCurve:
             coll.skipped.append(p)
             continue

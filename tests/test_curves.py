@@ -3,7 +3,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import brute
 from residue_lab import (
@@ -22,6 +22,7 @@ from residue_lab import (
 from residue_lab import curves
 from residue_lab.curves import GENUS2_QUINTIC, NAMED_CURVES, WEIERSTRASS_CM
 from residue_lab.claims import CLAIMS, expected_quartic_table, fiber_buckets
+from residue_lab.stats import _BSGS_FROM
 
 _PRIMES_BELOW_2000 = primes_in(3, 1999)
 
@@ -349,3 +350,98 @@ def test_poly_eval_all_matches_per_step_horner(p, spec):
     got = curves._poly_eval_all(ctx, spec)
     assert got.tolist() == brute.poly_eval_horner(p, spec)
     assert ctx.index.tolist() == list(range(p))
+
+
+# The baby-step giant-step route of collect_traces, against the Horner
+# count it is pinned to.
+_REGISTRY_SPECS = {"weierstrass": WEIERSTRASS_CM, **NAMED_CURVES}
+
+
+def test_bsgs_trace_equals_horner_from_the_cutoff_to_3000():
+    for p in primes_in(_BSGS_FROM, 3000):
+        ctx = build_context(p)
+        for name, f in _REGISTRY_SPECS.items():
+            assert curves.bsgs_trace(p, f) == curve_trace(ctx, f), (name, p)
+
+
+@pytest.mark.parametrize("p", [99991, 100003, 999983, 1000003])
+def test_bsgs_trace_equals_horner_at_spot_primes(p):
+    ctx = build_context(p)
+    for name, f in _REGISTRY_SPECS.items():
+        assert curves.bsgs_trace(p, f) == curve_trace(ctx, f), name
+
+
+def test_bsgs_trace_below_the_cutoff_is_exact_or_gives_up():
+    # Below p = 229 a curve and its twist may have no point whose order has
+    # one multiple in the Hasse interval (Mestre); there the route may give
+    # up, and elsewhere it must answer with Horner's trace.  Each point
+    # narrows the candidates of the ones before, which is what lets it
+    # answer at most small primes.
+    gave_up = {}
+    for p in primes_in(5, _BSGS_FROM):
+        ctx = build_context(p)
+        for name, f in _REGISTRY_SPECS.items():
+            trace = curves.bsgs_trace(p, f)
+            if trace is None:
+                gave_up.setdefault(name, []).append(p)
+            else:
+                assert trace == curve_trace(ctx, f), (name, p)
+    assert gave_up == {"weierstrass": [5, 7, 11, 29], "a": [5, 7, 11, 29],
+                       "b": [5, 7, 11, 17], "c": [5, 7, 11, 17],
+                       "d": [5, 7, 11, 29], "e": [5, 7, 11, 23]}
+
+
+def test_bsgs_trace_applies_the_good_reduction_rule():
+    with pytest.raises(SingularCurve):
+        curves.bsgs_trace(3, NAMED_CURVES["b"])
+    with pytest.raises(SingularCurve):
+        curves.bsgs_trace(601, (0, 0, 1, 1))  # x^2 (x + 1)
+    with pytest.raises(ValueError):
+        curves.bsgs_trace(601, (1, 0, 0, 601))
+    with pytest.raises(ValueError):
+        curves.bsgs_trace(601, GENUS2_QUINTIC)
+    # models with no Weierstrass form here keep the Horner route
+    assert curves.bsgs_trace(601, (1, 0, 0, 2)) is None
+    assert curves.bsgs_trace(601, (1, 0, 0, 0, 1)) is None
+
+
+def test_quartic_to_cubic_map_on_e():
+    # x = 1/X, U = 6X, V = 6yX^2 takes y^2 = x(x+1)(x+2)(x+3) to
+    # V^2 = U^3 + 11U^2 + 36U + 36: every affine point with x != 0 lands on
+    # the cubic, and the two smooth models have one trace
+    e = NAMED_CURVES["e"]
+    for p in primes_in(5, 200):
+        assert curves._weierstrass_model(p, e) == (11 % p, 36 % p, 36 % p), p
+        for x in range(1, p):
+            for y in range(p):
+                if (y * y - x * (x + 1) * (x + 2) * (x + 3)) % p == 0:
+                    u = 6 * pow(x, -1, p) % p
+                    v = 6 * y * pow(x, -2, p) % p
+                    assert (v * v - (u ** 3 + 11 * u * u + 36 * u + 36)) % p == 0, (p, x, y)
+    for p in primes_in(5, 1999):
+        ctx = build_context(p)
+        assert curve_trace(ctx, e) == curve_trace(ctx, (36, 36, 11, 1)), p
+
+
+_BSGS_PRIMES = primes_in(_BSGS_FROM, 20000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(_BSGS_PRIMES),
+       f=st.one_of(
+           st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=3, max_size=3)
+           .map(lambda c: (*c, 1)),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4)
+           .map(lambda c: (0, *c))))
+def test_bsgs_trace_equals_horner_on_random_models(p, f):
+    # random monic cubics and quartics with f(0) = 0 at random good primes;
+    # the twist by the non-residue delta, as a cubic x^3 + d a x^2 +
+    # d^2 b x + d^3 c or as the quartic delta*f, has the negative trace
+    assume(f[-1] % p and curves.discriminant(f) % p)
+    ctx = build_context(p)
+    trace = curves.bsgs_trace(p, f)
+    assert trace == curve_trace(ctx, f)
+    d = ctx.delta
+    twist = (d ** 3 * f[0], d * d * f[1], d * f[2], 1) if len(f) == 4 \
+        else tuple(d * a for a in f)
+    assert curves.bsgs_trace(p, twist) == -trace

@@ -10,7 +10,9 @@ closed form that starts reading `root_counts`, fail here.  The kernel
 modules also hold no closed form, claim runner or record type, so none of
 them can call the identity it is checked against; and at run time a
 profile of every claim checks that no closed form is called while a
-kernel runs, and no kernel while a closed form runs.
+kernel runs, and no kernel while a closed form runs.  The trace route of
+`stats.collect_traces`, `curves.bsgs_trace`, takes no context at all, and
+no claim reaches it.
 """
 
 import ast
@@ -23,7 +25,8 @@ import pytest
 
 from residue_lab import claims, curves, k3, modarith, patterns, quadgraphs
 from residue_lab.curves import (NAMED_CURVES, WEIERSTRASS_CM, affine_count,
-                               curve_trace, edwards_affine, named_curve_traces)
+                               curve_trace, edwards_affine, genus2_involution_check,
+                               named_curve_traces, quartic_rows)
 from residue_lab.modarith import ContextArena, FieldContext, build_context, cm_decompose
 from residue_lab.patterns import (count_pattern, jacobsthal, pattern_census,
                                   pattern_counts_charsum, pattern_curve_count)
@@ -49,11 +52,10 @@ class RecordingContext(FieldContext):
         return object.__getattribute__(self, name)
 
 
-# quartic_rows and genus2_involution_check are not here: they read
-# `delta`, which defines the quartic twists and the square root i of -1
-# they count over, not a closed form they are checked against.
 _KERNEL_READS = {
     "k3.count_Mp": (k3.count_Mp, {"squares", "root_counts"}),
+    "k3.count_Np": (k3.count_Np, {"index", "root_counts"}),
+    "k3.count_Xprime": (k3.count_Xprime, {"squares", "root_counts"}),
     "k3.count_S": (k3.count_S, {"root_counts"}),
     "k3._xprime_scan": (k3._xprime_scan, {"squares", "root_counts"}),
     "k3._locus_X_count": (k3._locus_X_count, {"squares", "root_counts"}),
@@ -67,6 +69,17 @@ _KERNEL_READS = {
     "curves.named_curve_traces": (named_curve_traces, {"index", "root_counts"}),
     "patterns.pattern_curve_count": (lambda ctx: pattern_curve_count(ctx, 3),
                                      {"squares", "root_counts"}),
+}
+
+# Kernels that take a context but read `delta`, each with its reason: the
+# read set is checked to hold `delta` and no `chi`.
+_KERNEL_EXEMPT = {
+    "curves.quartic_rows": (
+        quartic_rows, "delta defines the quartic twists it counts, not a "
+                      "closed form they are checked against"),
+    "curves.genus2_involution_check": (
+        genus2_involution_check, "delta gives the square root i of -1 the "
+                                 "involution multiplies by"),
 }
 
 _CLOSED_FORM_READS = {
@@ -103,6 +116,70 @@ def test_closed_form_read_sets(p, oracle):
         got = _reads(fn, p, oracle)
         assert "root_counts" not in got and "squares" not in got, (name, got)
         assert got == want, name
+
+
+def test_exempt_kernels_read_delta_and_no_chi():
+    for name, (fn, _) in _KERNEL_EXEMPT.items():
+        got = _reads(fn, 13, False)
+        assert "delta" in got and "chi" not in got, (name, got)
+
+
+def _codes_called(fn, *args) -> set:
+    """The code objects of every Python function fn(*args) calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_read_set_table_covers_every_kernel_taking_a_context():
+    # each function of k3, curves and quadgraphs that takes a FieldContext
+    # is in _KERNEL_READS, is called by a function listed there (so its
+    # reads are in that function's set), or is exempt with its reason
+    takes_context = {
+        f"{m.__name__.rsplit('.', 1)[1]}.{name}": fn
+        for m in (k3, curves, quadgraphs) for name, fn in vars(m).items()
+        if inspect.isfunction(fn) and fn.__module__ == m.__name__
+        and FieldContext in typing.get_type_hints(fn).values()}
+    listed = {key.split()[0] for key in _KERNEL_READS}
+    reached = set()
+    for fn, _ in _KERNEL_READS.values():
+        reached |= _codes_called(fn, build_context(101))
+    covered = listed | set(_KERNEL_EXEMPT) | {
+        name for name, fn in takes_context.items() if fn.__code__ in reached}
+    assert set(takes_context) - covered == set(), set(takes_context) - covered
+    assert set(_KERNEL_EXEMPT) <= set(takes_context)
+    # the trace route of stats.collect_traces takes a prime, not a context,
+    # so it has no read set: it counts no table at all
+    assert "curves.bsgs_trace" not in takes_context
+    assert list(inspect.signature(curves.bsgs_trace).parameters) == ["p", "f"]
+
+
+def test_the_bsgs_route_builds_no_context_and_calls_no_closed_form():
+    # every package function it calls is in curves, which holds no closed
+    # form and builds no context
+    for f in (WEIERSTRASS_CM, *NAMED_CURVES.values()):
+        for p in (601, 99991):
+            files = {code.co_filename for code in _codes_called(curves.bsgs_trace, p, f)
+                     if "residue_lab" in code.co_filename}
+            assert files == {curves.__file__}, f
+
+
+def test_no_claim_reaches_the_bsgs_route():
+    # every trace a claim reads is counted point by point; only
+    # stats.collect_traces takes the baby-step giant-step route
+    for claim in sorted(claims.CLAIMS):
+        called = _codes_called(claims.run_claim, claim, 601)
+        assert curves.bsgs_trace.__code__ not in called, claim
 
 
 def test_recording_context_sees_every_field():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from residue_lab import (
     ks_distance,
     primes_in,
 )
-from residue_lab import curves
-from residue_lab.stats import _REGISTRY, _cdf_values, curve_ids, histogram
+from residue_lab import curves, stats
+from residue_lab.stats import _BSGS_FROM, _REGISTRY, _cdf_values, curve_ids, histogram
 
 
 def test_collect_traces_cm_split():
@@ -153,3 +154,35 @@ def test_residual_within_scaled_weil_bound():
         n = rl.count_pattern(ctx, "XXXX")
         xi = (n - (p - 1) / 16.0) / (2.0 * math.sqrt(p))
         assert abs(xi) <= 11 / 32 + 1 / (2 * math.sqrt(p)) + 1e-12, p
+
+
+def test_collect_traces_builds_contexts_only_below_the_cutoff(monkeypatch):
+    built = []
+
+    def recording_build_context(p, **kwargs):
+        built.append(p)
+        return stats_build_context(p, **kwargs)
+
+    stats_build_context = stats.build_context
+    monkeypatch.setattr(stats, "build_context", recording_build_context)
+    for curve in curve_ids():
+        built.clear()
+        collect_traces(curve, 3000)
+        assert built == primes_in(5, _BSGS_FROM - 1), curve
+
+
+def test_collect_traces_memory_below_one_context():
+    # no p-sized arena above the cutoff: a collection to 10^5 peaks below
+    # 10 bytes per p, when the tables of one context at p = 10^5 take 25
+    # (about 5 bytes per p, the prime sieve and list, against 42 when every
+    # trace was a Horner count).  The filter keeps 300 primes, since
+    # tracemalloc slows the route's pure-Python group law about 30-fold.
+    bound = 100000
+    tracemalloc.start()
+    try:
+        coll = collect_traces("e", bound, (1, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(coll.samples) == len(primes_in(5, bound, (1, 64)))
+    assert peak < 10 * bound, (peak, peak / bound)
