@@ -26,10 +26,10 @@ and failed, then a FAILED line naming the failing primes if there are any.
 but graph; it checks that pattern has -S and graph has --class before it
 builds the tables of p, so a missing option is a usage error at any p.
 `satotate` composes its line from `stats.collect_traces` and
-`stats.ks_distance`, and its --out CSV from `stats.histogram`; from
-p = 500 on its traces come from baby-step giant-step rather than a count
-of every point, with the same integers, while every trace `verify` reads
-is counted point by point.
+`stats.ks_distance`, and its --out CSV from `stats.histogram`; its
+traces take the route `stats.collect_traces` states, with the integers a
+count of every point gives, while every trace `verify` reads is counted
+point by point.
 """
 
 import argparse
@@ -45,7 +45,7 @@ from itertools import accumulate
 from multiprocessing.connection import Connection
 
 from .errors import ResidueLabError
-from .modarith import build_context, cm_decompose
+from .modarith import _check_range, build_context, cm_decompose
 from .patterns import count_pattern, jacobsthal, residue_word
 from .quadgraphs import GraphClass, count_graph_classes
 from .claims import CLAIMS, _verify_worker, eligible_primes
@@ -301,6 +301,7 @@ def _cmd_verify(args) -> int:
 def _cmd_satotate(args) -> int:
     if args.max_p < _SATOTATE_MIN_P:
         raise ValueError(f"need --max-p >= {_SATOTATE_MIN_P}")
+    _check_range(5, args.max_p)  # the range collect_traces sieves
     with _open_out(args.out, None) as fh:
         coll = stats.collect_traces(args.curve, args.max_p, _FILTERS[args.filter])
         ts = [s.t for s in coll.samples]

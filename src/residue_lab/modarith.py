@@ -19,6 +19,7 @@ prime's data.
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -195,23 +196,30 @@ def build_context(p: int, counting_oracle: bool = False,
                         arena.generation)
 
 
-def primes_in(lo: int, hi: int, residue_filter: tuple[int, int] | None = None) -> list[int]:
-    """Ascending primes in [lo, hi], optionally restricted to p = r mod m.
-    ValueError for hi >= sys.maxsize, whose sieve no index can address."""
+def _check_range(lo: int, hi: int) -> None:
+    """ValueError unless 2 <= lo <= hi < sys.maxsize, the ranges whose
+    sieve primes_in can index."""
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     if hi >= sys.maxsize:
         raise ValueError(f"need hi < {sys.maxsize}, got {hi}")
+
+
+def primes_in(lo: int, hi: int, residue_filter: tuple[int, int] | None = None) -> list[int]:
+    """Ascending primes in [lo, hi], optionally restricted to p = r mod m,
+    read off the sieve in steps of m so that only those are listed.
+    ValueError for a range _check_range refuses, or for m < 1."""
+    _check_range(lo, hi)
+    r, m = (0, 1) if residue_filter is None else residue_filter
+    if m < 1:
+        raise ValueError(f"need a modulus m >= 1, got {m}")
     sieve = bytearray([1]) * (hi + 1)
     sieve[0] = sieve[1] = 0
     for q in range(2, math.isqrt(hi) + 1):
         if sieve[q]:
-            sieve[q * q:: q] = bytearray(len(sieve[q * q:: q]))
-    out = [n for n in range(lo, hi + 1) if sieve[n]]
-    if residue_filter is not None:
-        r, m = residue_filter
-        out = [n for n in out if n % m == r % m]
-    return out
+            sieve[q * q:: q] = bytearray(len(range(q * q, hi + 1, q)))
+    start = lo + (r - lo) % m
+    return list(compress(range(start, hi + 1, m), memoryview(sieve)[start::m]))
 
 
 def _divisible_by_two_plus_two_i(a: int, b: int) -> bool:

@@ -8,10 +8,9 @@ them into fixed 40-bin histograms.  The `satotate` command composes its
 report from these three pieces.
 
 The traces are data for these statistics, and no closed form checks
-them, so collect_traces takes them from baby-step giant-step
-(curves.bsgs_trace) from _BSGS_FROM on, and from the Horner count
-(curves.curve_trace) below it and wherever that route gives up.  The
-two routes give the same integers; the claims read only the Horner one.
+them, so collect_traces may take them from baby-step giant-step rather
+than a count of every point; its docstring gives the rule.  The two
+routes give the same integers, and the claims read only counted traces.
 """
 
 import math
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySample, SingularCurve, UnknownCurve
-from .modarith import ContextArena, build_context, primes_in
+from .modarith import build_context, primes_in
 from . import curves
 
 HISTOGRAM_BINS = 40
@@ -29,12 +28,6 @@ HISTOGRAM_BINS = 40
 # p >= 5.
 _REGISTRY = dict(curves.NAMED_CURVES)
 _REGISTRY["weierstrass"] = curves.WEIERSTRASS_CM
-
-# collect_traces takes the Horner count below this prime: there one
-# Horner count costs about what baby-step giant-step does, and below
-# p = 229 a curve and its twist may have no point whose order has one
-# multiple in the Hasse interval (Mestre), so the route would give up.
-_BSGS_FROM = 500
 
 
 @dataclass(frozen=True)
@@ -60,12 +53,10 @@ def collect_traces(curve: str, bound: int,
 
     Primes below 5 stay out of every collection (the quartic models lose
     good reduction there); bad-reduction primes inside the range are
-    recorded in `skipped`, by the one rule both routes apply.  From
-    _BSGS_FROM on each trace comes from curves.bsgs_trace, which needs no
-    tables; below it, and at any prime that route cannot tell, from the
-    Horner count curves.curve_trace, its oracle in the tests.  The Horner
-    contexts share one arena, sized for the largest prime below
-    _BSGS_FROM and grown only for a prime the other route gives up.
+    recorded in `skipped`, by the one rule both routes apply.  Each trace
+    comes from curves.bsgs_trace, which needs no tables, and at a prime
+    that route cannot tell from the Horner count curves.curve_trace, its
+    oracle in the tests, on a context built for that prime alone.
     """
     spec = _REGISTRY.get(curve)
     if spec is None:
@@ -73,13 +64,11 @@ def collect_traces(curve: str, bound: int,
     if bound < 5:
         raise ValueError("need bound >= 5")
     coll = TraceCollection(curve)
-    primes = primes_in(5, bound, residue_filter)
-    arena = ContextArena(max((p for p in primes if p < _BSGS_FROM), default=0))
-    for p in primes:
+    for p in primes_in(5, bound, residue_filter):
         try:
-            trace = curves.bsgs_trace(p, spec) if p >= _BSGS_FROM else None
+            trace = curves.bsgs_trace(p, spec)
             if trace is None:
-                trace = curves.curve_trace(build_context(p, arena=arena), spec)
+                trace = curves.curve_trace(build_context(p), spec)
         except SingularCurve:
             coll.skipped.append(p)
             continue

@@ -416,14 +416,17 @@ def test_usage_error_leaves_out_untouched(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["verify", "identity5"], ["satotate", "e"]])
-def test_max_p_past_the_index_range_exits_2(capsys, command):
+def test_max_p_past_the_index_range_exits_2(capsys, tmp_path, command):
     # a prime above 2^63: its sieve cannot be indexed, a usage error and
-    # not a broken invariant
-    assert cli.main([*command, "--max-p", "9223372036854775837"]) == 2
+    # not a broken invariant, found before --out is opened
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"keep\n")
+    assert cli.main([*command, "--max-p", "9223372036854775837", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ValueError: ")
+    assert captured.err.startswith("error: ValueError: need hi < ")
     assert captured.err.count("\n") == 1
+    assert out.read_bytes() == b"keep\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -6,13 +6,16 @@ import pytest
 
 from residue_lab import (
     EmptySample,
+    SingularCurve,
     UnknownCurve,
+    build_context,
     collect_traces,
     ks_distance,
     primes_in,
 )
 from residue_lab import curves, stats
-from residue_lab.stats import _BSGS_FROM, _REGISTRY, _cdf_values, curve_ids, histogram
+from residue_lab.stats import _REGISTRY, _cdf_values, curve_ids, histogram
+from test_curves import BSGS_GIVES_UP
 
 
 def test_collect_traces_cm_split():
@@ -156,7 +159,7 @@ def test_residual_within_scaled_weil_bound():
         assert abs(xi) <= 11 / 32 + 1 / (2 * math.sqrt(p)) + 1e-12, p
 
 
-def test_collect_traces_builds_contexts_only_below_the_cutoff(monkeypatch):
+def test_collect_traces_builds_contexts_only_where_bsgs_gives_up(monkeypatch):
     built = []
 
     def recording_build_context(p, **kwargs):
@@ -168,7 +171,22 @@ def test_collect_traces_builds_contexts_only_below_the_cutoff(monkeypatch):
     for curve in curve_ids():
         built.clear()
         collect_traces(curve, 3000)
-        assert built == primes_in(5, _BSGS_FROM - 1), curve
+        assert built == BSGS_GIVES_UP[curve], curve
+
+
+@pytest.mark.parametrize("residue_filter", [None, (1, 4), (3, 4)])
+def test_collect_traces_equals_counting_every_point(residue_filter):
+    # every trace and every skipped prime as if each were a Horner count
+    for curve in curve_ids():
+        f, want = _REGISTRY[curve], stats.TraceCollection(curve)
+        for p in primes_in(5, 3000, residue_filter):
+            try:
+                trace = curves.curve_trace(build_context(p), f)
+            except SingularCurve:
+                want.skipped.append(p)
+                continue
+            want.samples.append(stats.TraceSample(p, trace / (2.0 * math.sqrt(p))))
+        assert collect_traces(curve, 3000, residue_filter) == want, curve
 
 
 def test_collect_traces_memory_below_one_context():
