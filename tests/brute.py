@@ -2,17 +2,19 @@
 
 Everything here works from Euler-criterion Legendre symbols or from
 squares tallied over all x, independent of the package's chi tables and
-kernels.  All of it is pure Python nested loops except three numpy scans
+kernels.  All of it is pure Python nested loops except four numpy scans
 that reach the primes the pure-Python counts cannot:
-`count_classes_enumerated`, an enumeration of every quadruple, and
-`m_scan_square_classes` and `count_S_square_classes`, row-by-row scans of
-the grid of square classes that `k3` ran before it summed M over orbits
-and S by convolution.
+`count_classes_enumerated`, an enumeration of every quadruple;
+`pair_tally`, the tiled scan of every pair (b, c) that `quadgraphs` ran
+before it tallied them by FFT; and `m_scan_square_classes` and
+`count_S_square_classes`, row-by-row scans of the grid of square classes
+that `k3` ran before it summed M over orbits and S by convolution.
 """
 
 from itertools import combinations, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def legendre(a, p):
@@ -256,6 +258,41 @@ def count_classes_enumerated(p):
         assert tally % 8 == 0, (name, tally)
         out[name] = tally // 8
     return out
+
+
+# Cells of the (b, c) grid classified per block of pair_tally.
+_TILE_CELLS = 1 << 14
+
+# Added by pair_tally to the key of a cell outside the grid (b or c in
+# {0, a}, or b = c); every valid edge key is below it.
+_OFF_GRID = 32
+
+
+def pair_tally(is_r, a):
+    """hist[key] = number of ordered pairs (b, c), b != c, both outside
+    {0, a}, whose quadruple {0, a, b, c} has edge key `key`, packed as
+    [0-c] + 2[a-c] + 4[0-b] + 8[a-b] + 16[b-c] for the residue indicator
+    is_r (an intp array): every cell classified by its own edges, rows of
+    b in tiles of about _TILE_CELLS cells."""
+    p = len(is_r)
+    # edges 0-x and a-x; x = 0 and x = a are off the grid
+    col = is_r + 2 * np.roll(is_r, a)
+    col[[0, a]] = _OFF_GRID
+    # row i of the window holds the edge b-c for b = p - i and c = 0 .. p-1:
+    # bc[(c - b) % p] is entry i + c of bc doubled; c = b is off the grid
+    bc = 16 * is_r
+    bc[0] = _OFF_GRID
+    window = sliding_window_view(np.concatenate((bc, bc)), p)[1:p]
+    row = 4 * col[:0:-1]  # b = p - 1 .. 1, the window's row order
+    step = max(1, _TILE_CELLS // p)
+    buf = np.empty((min(step, p - 1), p), dtype=np.intp)
+    hist = np.zeros(_OFF_GRID, dtype=np.int64)
+    for i in range(0, p - 1, step):
+        rows = row[i:i + step, None]
+        keys = np.add(rows, col, out=buf[:len(rows)])
+        keys += window[i:i + step]
+        hist += np.bincount(keys.ravel(), minlength=_OFF_GRID)[:_OFF_GRID]
+    return hist
 
 
 def cubic_trace(p, coeffs):

@@ -340,10 +340,9 @@ def test_broken_quartic_count_violates_hasse(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_fft_rounding_residue_exits_3(monkeypatch, capsys, two_cpus, jobs):
-    # a convolution entry a quarter or more off an integer is a fault in
-    # the transform, not rounding: count_S must not round it away
+@pytest.fixture
+def irfft_off_by_three_tenths(monkeypatch):
+    """np.fft.irfft with 0.3 added to every entry: a fault in the transform."""
     irfft = np.fft.irfft
 
     def off_by_three_tenths(*args, **kwargs):
@@ -352,7 +351,25 @@ def test_fft_rounding_residue_exits_3(monkeypatch, capsys, two_cpus, jobs):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fft_rounding_residue_exits_3(irfft_off_by_three_tenths, capsys, two_cpus, jobs):
+    # a convolution entry a quarter or more off an integer is a fault in
+    # the transform, not rounding: count_S must not round it away
     code = cli.main(["verify", "formula2", "--max-p", "30", "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal invariant violated: FFT convolution off an integer by" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_graph_tally_rounding_residue_exits_3(irfft_off_by_three_tenths, capsys, two_cpus,
+                                              jobs):
+    # the same fault in the pair tally of count_graph_classes, which the
+    # K4 count of goncharova1 reads
+    code = cli.main(["verify", "goncharova1", "--max-p", "30", "--jobs", jobs])
     err = capsys.readouterr().err
     assert code == 3
     assert "internal invariant violated: FFT convolution off an integer by" in err

@@ -12,7 +12,8 @@ them can call the identity it is checked against; and at run time a
 profile of every claim checks that no closed form is called while a
 kernel runs, and no kernel while a closed form runs.  The trace route of
 `stats.collect_traces`, `curves.bsgs_trace`, takes no context at all, and
-no claim reaches it.
+no claim reaches it; nor does the pair tally of `count_graph_classes`,
+which sees only the residue indicator it is handed.
 """
 
 import ast
@@ -162,6 +163,10 @@ def test_read_set_table_covers_every_kernel_taking_a_context():
     # so it has no read set: it counts no table at all
     assert "curves.bsgs_trace" not in takes_context
     assert list(inspect.signature(curves.bsgs_trace).parameters) == ["p", "f"]
+    # the pair tally of count_graph_classes takes the residue indicator its
+    # caller reads from root_counts, so its reads are in that caller's set
+    assert "quadgraphs._pair_tally" not in takes_context
+    assert list(inspect.signature(quadgraphs._pair_tally).parameters) == ["is_r", "a"]
 
 
 def test_the_bsgs_route_builds_no_context_and_calls_no_closed_form():

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,13 +125,35 @@ def test_count_graph_classes_oracle_context_agrees():
                 == count_graph_classes(build_context(p))), p
 
 
+def _tally_inputs(ctx):
+    """The residue indicator and the two values of a that
+    count_graph_classes tallies, read as it reads them."""
+    is_r = (ctx.root_counts == 2).astype(np.intp)
+    return is_r, (1, int(np.argmax(ctx.root_counts == 0)))
+
+
+def test_pair_tally_matches_the_tile_oracle():
+    # the FFT tally against the tile scan on an Euler-criterion indicator,
+    # for a = 1 and a = delta, read from a default and an --oracle context
+    for p in primes_in(5, 1999, (1, 4)) + [5009, 10009]:
+        euler = np.array([brute.legendre(t, p) == 1 for t in range(p)], dtype=np.intp)
+        delta = next(d for d in range(2, p) if brute.legendre(d, p) < 0)
+        want = {a: brute.pair_tally(euler, a) for a in (1, delta)}
+        for oracle in (False, True):
+            is_r, anchors = _tally_inputs(build_context(p, counting_oracle=oracle))
+            assert (is_r == euler).all() and anchors == (1, delta), (p, oracle)
+            for a in anchors:
+                assert (quadgraphs._pair_tally(is_r, a) == want[a]).all(), (p, a, oracle)
+
+
 @pytest.mark.parametrize("cells", [7, 37])  # one row per block; several, the last short
 def test_count_graph_classes_independent_of_tiling(monkeypatch, cells):
-    primes = (5, 13, 17, 29, 37, 41, 101, 109)
-    want = {p: count_graph_classes(build_context(p)) for p in primes}
-    monkeypatch.setattr(quadgraphs, "_TILE_CELLS", cells)
-    for p in primes:
-        assert count_graph_classes(build_context(p)) == want[p], p
+    # the tile oracle's tally does not depend on its block size
+    monkeypatch.setattr(brute, "_TILE_CELLS", cells)
+    for p in (5, 13, 17, 29, 37, 41, 101, 109):
+        is_r, anchors = _tally_inputs(build_context(p))
+        for a in anchors:
+            assert (brute.pair_tally(is_r, a) == quadgraphs._pair_tally(is_r, a)).all(), (p, a)
 
 
 def test_count_graph_classes_memory_bounded():
@@ -142,6 +165,37 @@ def test_count_graph_classes_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_count_graph_classes_memory_bounded_per_p():
+    # the tracemalloc peak was 282 bytes per p at this prime, where the
+    # transform length is 3.27p; the bound is that plus 25 %
+    p = 20021
+    ctx = build_context(p)
+    tracemalloc.start()
+    try:
+        count_graph_classes(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 353 * p, (peak, peak / p)
+
+
+def test_count_graph_classes_refuses_primes_past_its_exactness_limit(monkeypatch):
+    monkeypatch.setattr(quadgraphs, "_TALLY_MAX_P", 13)
+    assert _class_values(build_context(5)) == brute.count_classes(5)
+    with pytest.raises(ValueError, match="exact only for p < 13"):
+        count_graph_classes(build_context(13))
+    # refused before anything of the order of p is allocated
+    ctx = build_context(5009)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            count_graph_classes(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 def test_class_total_conservation():
