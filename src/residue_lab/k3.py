@@ -29,9 +29,9 @@ without changing its value:
   not from a primitive root or chi.  The axes add rc[x^2] or rc[y^2].
 - S by convolution.  With A[t] = rc[t] rc[1 - t], the count is
   S = sum_s A[s] (A * rc)[s] for the cyclic convolution * mod p, computed
-  as one float64 FFT product in O(p log p).  A rigorous error bound makes
-  its rounding exact for every p < 2^29, the p it accepts, and every entry
-  is checked to lie within 1/4 of an integer (see `count_S`).
+  exactly in O(p log p) by `modarith.cyclic_convolution`, a float64 FFT
+  product whose every entry is checked to lie within 1/4 of an integer
+  (see `count_S` for the p it accepts).
 - Fixed tiles.  Rows of a class grid are processed in blocks of about
   _TILE_CELLS cells, each reduced with a matrix-vector product against the
   column weights.  Every block is computed in place in the same few
@@ -50,7 +50,7 @@ them down an independent path.
 
 import numpy as np
 
-from .modarith import FieldContext, reduce_mod
+from .modarith import FieldContext, cyclic_convolution, reduce_mod
 from . import curves
 
 # Cells of the class grid reduced per block; bounds every temporary.
@@ -179,41 +179,20 @@ def count_S(ctx: FieldContext) -> int:
         S = sum_{a, b} rc[a] rc[1 - a] rc[b] A[a + b] = sum_s A[s] C[s]
 
     with A[t] = rc[t] rc[1 - t] and C = A * rc, the cyclic convolution mod
-    p.  C is the linear convolution of length 2p - 1, computed as one
-    float64 rfft/irfft product zero-padded to N = 2^k >= 2p - 1, rounded
-    and folded mod p.
+    p, computed exactly by `modarith.cyclic_convolution` in O(p log p).
 
-    Exactness.  Every entry of the linear convolution is an integer below
-    8p.  By Percival's bound (Math. Comp. 72, 2003, Thm. 5.1) a radix-2
-    float64 transform of length 2^k computes it with an error below
-    |A| |rc| ((1 + e)^(6k) (1 + e sqrt 5)^(3k + 1) - 1), for the unit
-    roundoff e = 2^-53, twiddles accurate to e and Euclidean norms |.|.
-    With |A| <= 4 sqrt p and |rc| < sqrt(2p) that is below 1/4 for every p <= 7.6 * 10^11
-    (1.7 * 10^-7 at p = 999961), so a residue |C - round(C)| of 1/4 or
-    more is a fault, not rounding, and raises ArithmeticError.  The int64
-    sum of A[s] C[s] <= 32 p^2 is exact for p < 2^29, the smaller limit:
-    larger p raise ValueError.
+    Exactness.  Every entry of C is an integer below 8p, and the int64 sum
+    of A[s] C[s] <= 32 p^2 is exact for p < 2^29: larger p raise
+    ValueError.  Below that, |A| |rc| < 4 sqrt 2 p < 3.1 * 10^9 with
+    |A| <= 4 sqrt p and |rc| < sqrt(2p), far within the rounding bound of
+    `cyclic_convolution`.
     """
     p = ctx.p
     if p >= _S_MAX_P:
         raise ValueError(f"count_S is exact only for p < {_S_MAX_P}, got p={p}")
     rc = ctx.root_counts
     a = rc * np.concatenate((rc[1::-1], rc[:1:-1]))  # rc[t] * rc[1 - t]
-    n = 1 << (2 * p - 2).bit_length()
-    buf = np.zeros(n)  # one real buffer: each input, then the product
-    buf[:p] = a
-    spectrum = np.fft.rfft(buf)
-    buf[:p] = rc
-    spectrum *= np.fft.rfft(buf)
-    linear = np.fft.irfft(spectrum, n, out=buf)[:2 * p - 1]
-    del spectrum
-    rounded = np.rint(linear)
-    residue = np.abs(np.subtract(linear, rounded, out=linear), out=linear).max()
-    if residue >= 0.25:
-        raise ArithmeticError(f"FFT convolution off an integer by {residue} at p={p}")
-    conv = rounded[:p].astype(np.int64)
-    conv[:p - 1] += rounded[p:].astype(np.int64)  # fold index s + p onto s
-    return int(a @ conv)
+    return int(a @ cyclic_convolution(a[None], rc)[0])
 
 
 def _locus_X(ctx: FieldContext, z0: int) -> int:

@@ -11,8 +11,9 @@ classification is a table lookup.
 the weights): scaling by a nonzero square fixes 0 and preserves every
 edge, so only a = 1 and a non-residue a = delta are tallied, each over
 all pairs (b, c).  The pairs are grouped by their edges to 0 and to a,
-and the b-c edges between two groups are counted by one float64 FFT
-correlation with the residue indicator, in O(p log p) (see `_pair_tally`).
+and the b-c edges between two groups are counted by an exact cyclic
+convolution with the residue indicator, `modarith.cyclic_convolution`, in
+O(p log p) (see `_pair_tally`).
 It reads the residue indicator and the non-residue from
 `ctx.root_counts`, never chi, J or a curve trace, so an `--oracle`
 context drives it down an independent path and the closed form in
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import WrongResidueClass
-from .modarith import FieldContext
+from .modarith import FieldContext, cyclic_convolution
 
 
 class GraphClass(Enum):
@@ -93,39 +94,23 @@ def _pair_tally(is_r: np.ndarray, a: int) -> np.ndarray:
     E_ij = sum_b F_i(b) (F_j * r)(b) are joined, for the residue indicator
     r (r(0) = 0 drops b = c) and * the cyclic convolution mod p, and
     N_ij = |F_i| (|F_j| - [i = j]) - E_ij are not.  The four F_j * r come
-    from one float64 rfft/irfft product zero-padded to n = 2^k >= 2p - 1,
-    rounded and folded mod p, as in `k3.count_S`.
+    from `cyclic_convolution`.
 
-    Exactness.  Each entry of a linear convolution F_j * r is an integer
-    below p, computed with an error below |F_j| |r| ((1 + e)^(6k)
-    (1 + e sqrt 5)^(3k + 1) - 1) by Percival's bound (Math. Comp. 72, 2003,
-    Thm. 5.1; unit roundoff e = 2^-53, Euclidean norms).  With |F_j| and
-    |r| at most sqrt p that is below 1/4 for every p <= 4.1 * 10^12, so a
-    residue of 1/4 or more is a fault and raises ArithmeticError.  The
-    int64 tallies, at most p^2, are exact for p < 2^31, the smaller limit.
+    Exactness.  Each entry of F_j * r is an integer below p, and the int64
+    tallies, at most p^2, are exact for p < 2^31, the limit the caller
+    enforces.  Below it |F_j| |r| <= p, with |F_j| and |r| at most sqrt p,
+    far within the rounding bound of `cyclic_convolution`.
 
-    Memory.  The transform holds five rows of n reals and of n/2 + 1
-    complex numbers, 80n bytes with n < 4p: the tracemalloc peak was 282
-    bytes per p at p = 20021 (n = 3.27p) and 340 at 16417 (n = 3.99p).
+    Memory.  The transform holds four rows of n reals and five half
+    spectra of n/2 + 1 complex numbers, 72n bytes with n < 4p: the
+    tracemalloc peak was 288 bytes per p at p = 20021 (n = 3.27p) and 340
+    at 16417 (n = 3.99p).
     """
     p = len(is_r)
-    n = 1 << (2 * p - 2).bit_length()
     col = is_r + 2 * np.concatenate((is_r[-a:], is_r[:-a]))  # r(x) + 2 r(x - a)
     col[[0, a]] = 4  # x = 0 and x = a are in no mask
     masks = np.equal(_CODES, col)
-    buf = np.zeros((5, n))  # the four masks and r, then the four convolutions
-    buf[:4, :p] = masks
-    buf[4, :p] = is_r
-    spectrum = np.fft.rfft(buf)
-    spectrum[:4] *= spectrum[4]
-    linear = np.fft.irfft(spectrum[:4], n, out=buf[:4])[:, :2 * p - 1]
-    del spectrum
-    rounded = np.rint(linear)
-    residue = np.abs(np.subtract(linear, rounded, out=linear), out=linear).max()
-    if residue >= 0.25:
-        raise ArithmeticError(f"FFT convolution off an integer by {residue} at p={p}")
-    rounded[:, :p - 1] += rounded[:, p:]  # fold index s + p onto s
-    edges = masks.astype(np.int64) @ rounded[:, :p].astype(np.int64).T
+    edges = masks.astype(np.int64) @ cyclic_convolution(masks, is_r).T
     sizes = np.bincount(col, minlength=5)[:4]  # |F_k|
     pairs = sizes[:, None] * (sizes - _EYE) - edges
     return np.concatenate((pairs.ravel(), edges.ravel()))

@@ -9,6 +9,8 @@ that reach the primes the pure-Python counts cannot:
 before it tallied them by FFT; and `m_scan_square_classes` and
 `count_S_square_classes`, row-by-row scans of the grid of square classes
 that `k3` ran before it summed M over orbits and S by convolution.
+`cyclic_convolution` is numpy's direct integer convolution, folded: the
+reference for the FFT convolution both kernels now call.
 """
 
 from itertools import combinations, product
@@ -293,6 +295,18 @@ def pair_tally(is_r, a):
         keys += window[i:i + step]
         hist += np.bincount(keys.ravel(), minlength=_OFF_GRID)[:_OFF_GRID]
     return hist
+
+
+def cyclic_convolution(rows, r):
+    """Cyclic convolution mod p = len(r) of each row with r: the int64
+    linear convolution by np.convolve, entry s + p folded onto s."""
+    p = len(r)
+    out = np.empty((len(rows), p), dtype=np.int64)
+    for row, folded in zip(rows, out):
+        linear = np.convolve(np.asarray(row, dtype=np.int64), np.asarray(r, dtype=np.int64))
+        folded[:] = linear[:p]
+        folded[:p - 1] += linear[p:]
+    return out
 
 
 def cubic_trace(p, coeffs):

@@ -340,6 +340,15 @@ def test_broken_quartic_count_violates_hasse(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_importing_the_cli_leaves_numpy_fft_unloaded():
+    # the convolution reaches np.fft only when called, so a command that
+    # counts no S and no graph pays nothing for it at startup
+    code = "import sys, residue_lab.cli; print('numpy.fft' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 @pytest.fixture
 def irfft_off_by_three_tenths(monkeypatch):
     """np.fft.irfft with 0.3 added to every entry: a fault in the transform."""

@@ -13,7 +13,8 @@ profile of every claim checks that no closed form is called while a
 kernel runs, and no kernel while a closed form runs.  The trace route of
 `stats.collect_traces`, `curves.bsgs_trace`, takes no context at all, and
 no claim reaches it; nor does the pair tally of `count_graph_classes`,
-which sees only the residue indicator it is handed.
+which sees only the residue indicator it is handed, nor the one exact
+convolution that tally and `count_S` share, which sees only arrays.
 """
 
 import ast
@@ -167,6 +168,21 @@ def test_read_set_table_covers_every_kernel_taking_a_context():
     # caller reads from root_counts, so its reads are in that caller's set
     assert "quadgraphs._pair_tally" not in takes_context
     assert list(inspect.signature(quadgraphs._pair_tally).parameters) == ["is_r", "a"]
+    # so does the convolution it and count_S share
+    assert list(inspect.signature(modarith.cyclic_convolution).parameters) == ["rows", "r"]
+
+
+def test_count_S_and_the_graph_tally_share_one_convolution():
+    for kernel in (k3.count_S, quadgraphs.count_graph_classes):
+        assert modarith.cyclic_convolution.__code__ in _codes_called(kernel, build_context(101))
+    # and no other statement of the package, in k3, quadgraphs or
+    # elsewhere, refers to np.fft
+    users = {(path.name, getattr(stmt, "name", None))
+             for path in Path(modarith.__file__).parent.glob("*.py")
+             for stmt in ast.parse(path.read_text()).body
+             if any(isinstance(node, ast.Attribute) and node.attr == "fft"
+                    for node in ast.walk(stmt))}
+    assert users == {("modarith.py", "cyclic_convolution")}, users
 
 
 def test_the_bsgs_route_builds_no_context_and_calls_no_closed_form():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from residue_lab.errors import StaleContext
-from residue_lab.modarith import ContextArena, reduce_mod
+from residue_lab.modarith import ContextArena, cyclic_convolution, reduce_mod
 from residue_lab import (
     NotOddPrime,
     WrongResidueClass,
@@ -88,6 +88,28 @@ def test_reduce_mod_equals_remainder(p):
     tile = a[:4096].reshape(64, 64)  # a view, reduced into itself
     reduce_mod(tile, p, out=tile)
     assert (a[:4096] == want[:4096]).all()
+
+
+def _check_cyclic_convolution(p, nrows, seed):
+    rng = np.random.default_rng(seed)
+    rows, r = rng.integers(0, 5, (nrows, p)), rng.integers(0, 5, p)
+    got = cyclic_convolution(rows, r)
+    assert got.dtype == np.int64 and got.shape == (nrows, p)
+    assert (got == brute.cyclic_convolution(rows, r)).all()
+
+
+# 1, 2, 3, then 2^j and 2^j + 1; at p = 2 and p = 2^j + 1, 2p - 2 is a
+# power of two, so the transform length doubles there
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 1024, 1025])
+@pytest.mark.parametrize("nrows", [1, 4])
+def test_cyclic_convolution_matches_direct_convolution(p, nrows):
+    _check_cyclic_convolution(p, nrows, seed=p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 3000), nrows=st.sampled_from([1, 4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_cyclic_convolution_matches_direct_convolution_at_drawn_lengths(p, nrows, seed):
+    _check_cyclic_convolution(p, nrows, seed)
 
 
 _SEQUENCE_PRIMES = primes_in(3, 400) + [1009, 2003]

@@ -168,8 +168,8 @@ def test_count_graph_classes_memory_bounded():
 
 
 def test_count_graph_classes_memory_bounded_per_p():
-    # the tracemalloc peak was 282 bytes per p at this prime, where the
-    # transform length is 3.27p; the bound is that plus 25 %
+    # the tracemalloc peak is 288 bytes per p at this prime, where the
+    # transform length is 3.27p; the bound is 25 % above the 282 it first had
     p = 20021
     ctx = build_context(p)
     tracemalloc.start()
