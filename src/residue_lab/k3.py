@@ -10,38 +10,27 @@ Every kernel is a brute-force sum over two free coordinates, with the
 remaining coordinates resolved through the root-count table, regrouped
 without changing its value:
 
-- Square classes.  Each integrand sees its free coordinates only through
-  x^2, y^2 (M) or t^2, x1^4 (X'), so the sum runs over the distinct
-  values of `ctx.squares` (or of `squares[squares]`), each weighted by its
-  multiplicity.  That leaves about p^2/8 cells for X' (p^2/4 when
-  p = 3 mod 4, where x1^4 takes (p+1)/2 values).
-- Orbits of M.  Let F(x, y) = (x^2 y^2 + 1)(x^2 + y^2).  F(y, x) = F(x, y),
-  and for x != 0, F(1/x, y) = (y^2/x^2 + 1)(1/x^2 + y^2) = F(x, y)/x^4, so
-  (x, y, z) -> (1/x, y, z/x^2) maps the points of X with x != 0 one to one
-  onto themselves, and likewise y -> 1/y.  On the grid of nonzero square
-  classes (u, v) = (x^2, y^2) these three maps generate a group of order 8
-  under which rc[F] is constant on every orbit (F changes by a nonzero
-  square factor), and F = 0 on one cell exactly when on all of them.  So
-  the torus x, y != 0 is summed over pair classes r = {u, 1/u}, each
-  weighted by m(r) = |{u, 1/u}| (1 only for u = 1, and u = -1 when
-  p = 1 mod 4), over the upper triangle of the pair-class grid: about
-  p^2/32 cells.  The inverses come from square-and-multiply of u^(p-2),
-  not from a primitive root or chi.  The axes add rc[x^2] or rc[y^2].
+- Square classes.  The chart integrand sees its free coordinates only
+  through t^2 and x1^4, so the X' sum runs over the distinct values of
+  `ctx.squares` and of `squares[squares]`, each weighted by its
+  multiplicity: about p^2/8 cells (p^2/4 when p = 3 mod 4, where x1^4
+  takes (p+1)/2 values).
+- M off the grid.  `count_Mp` regroups the sum over (x, y) exactly, by an
+  autocorrelation at p = 1 mod 4 and by three O(p) sums over the tables
+  at p = 3 mod 4 (see its docstring).  Neither evaluates a Jacobi
+  sum, N or a trace.  The z = 0 points are tallied apart, in O(p).
 - S by convolution.  With A[t] = rc[t] rc[1 - t], the count is
   S = sum_s A[s] (A * rc)[s] for the cyclic convolution * mod p, computed
   exactly in O(p log p) by `modarith.cyclic_convolution`, a float64 FFT
   product whose every entry is checked to lie within 1/4 of an integer
   (see `count_S` for the p it accepts).
-- Fixed tiles.  Rows of a class grid are processed in blocks of about
-  _TILE_CELLS cells, each reduced with a matrix-vector product against the
-  column weights.  Every block is computed in place in the same few
-  buffers, allocated once per scan, so no temporary exceeds one block and
-  the scan does not churn the heap from block to block.  One of them holds
-  each block's unreduced products, which `reduce_mod` reduces into the
-  next without a temporary.
-- One fused M scan.  `_m_scan` returns M together with the tally of
-  z = 0 points, which the locus count of the bookkeeping claim reads
-  instead of scanning again.
+- Fixed tiles.  Rows of the chart's class grid are processed in blocks of
+  about _TILE_CELLS cells, each reduced with a matrix-vector product
+  against the column weights.  Every block is computed in place in the
+  same few buffers, allocated once per scan, so no temporary exceeds one
+  block and the scan does not churn the heap from block to block.  One of
+  them holds each block's unreduced products, which `reduce_mod` reduces
+  into the next without a temporary.
 
 The kernels read only `ctx.squares` and `ctx.root_counts` (never chi, J or
 a curve trace) and import no closed form, so an `--oracle` context drives
@@ -56,11 +45,12 @@ from . import curves
 # Cells of the class grid reduced per block; bounds every temporary.
 _TILE_CELLS = 1 << 14
 
-# Largest p whose unreduced cell value (a*b + 1)(a + b) < 2p^3 fits in int64;
+# Largest p whose unreduced cell value (a*b + 1)*c < 2p^3 fits in int64;
 # above it the first factor is reduced mod p before the product.
 _ONE_REDUCTION_MAX_P = 1_600_000
 
-# count_S refuses p at or above this: see its docstring.
+# count_Mp and count_S refuse p at or above these: see their docstrings.
+_M_MAX_P = 1 << 31
 _S_MAX_P = 1 << 29
 
 
@@ -99,66 +89,65 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(table, index, out=out, mode="clip")
 
 
-def _inverses(u: np.ndarray, p: int) -> np.ndarray:
-    """u^(p-2) mod p elementwise, by square-and-multiply: the inverse of
-    every entry of u, all nonzero mod p."""
-    inv = np.ones_like(u)
-    power = u.copy()
-    raw = np.empty_like(u)
-    e = p - 2
-    while e:
-        if e & 1:
-            reduce_mod(np.multiply(inv, power, out=raw), p, out=inv)
-        e >>= 1
-        if e:
-            reduce_mod(np.multiply(power, power, out=raw), p, out=power)
-    return inv
+def count_Mp(ctx: FieldContext) -> int:
+    """Number of solutions of z^2 = F(x, y) = (x^2 y^2 + 1)(x^2 + y^2), the
+    sum M of rc[F] over (x, y), by an exact regrouping chosen by p mod 4.
+    Each reads only `squares` and `root_counts`, with chi = rc - 1.
+
+    p = 1 mod 4 (`_m_by_correlation`).  With i^2 = -1, (a, b) =
+    (x + iy, x - iy) is a bijection of F_p^2 with 16 F = ab (16 - (a^2 -
+    b^2)^2).  As chi is multiplicative and chi(16) = 1, M = p^2 +
+    sum_d h(d) sum_A psi(A) psi(A - d) with h(d) = chi(16 - d^2) and
+    psi(A) = sum_{a^2 = A} chi(a): one `cyclic_convolution`, and i itself
+    is never computed.
+
+    p = 3 mod 4 (`_m_by_square_classes`).  Off the axes put y = x r: F is
+    x^2 (1 + r^2)(r^2 x^4 + 1), and a nonzero square factor leaves rc
+    unchanged.  x -> x^4 covers the nonzero squares Q twice and u -> r^2 u
+    permutes Q, so the torus gives 2 sum_{r != 0} G(1 + r^2) with
+    G(c) = sum_{v in Q} rc[c (v + 1)], which depends only on the square
+    class of c.  As -1 is not a square, 1 + r^2 is never 0, so the torus
+    is 2 (n_sq G(1) + (p - 1 - n_sq) G(n)) for a non-square n, read off
+    rc, and the number n_sq of r != 0 with 1 + r^2 a square.
+
+    Exactness.  p >= 2^31 raises ValueError.  Below it every partial sum
+    of h . (psi * psi) is at most (sum |psi|)^2 < p^2 < 2^62, and so is
+    every product c (v + 1); |psi|^2 = 2(p - 1) meets the rounding bound
+    of `cyclic_convolution` up to p = 2^40.
+    """
+    p = ctx.p
+    if p >= _M_MAX_P:
+        raise ValueError(f"count_Mp is exact only for p < {_M_MAX_P}, got p={p}")
+    if p % 4 == 1:
+        return _m_by_correlation(ctx)
+    return _m_by_square_classes(ctx)
 
 
-def _m_scan(ctx: FieldContext) -> tuple[int, int]:
-    """(M, number of (x, y) with (x^2 y^2 + 1)(x^2 + y^2) = 0) in one pass."""
+def _m_by_correlation(ctx: FieldContext) -> int:
+    """M at p = 1 mod 4 by the autocorrelation of psi (see `count_Mp`)."""
     p = ctx.p
     sq = ctx.squares
     rc = ctx.root_counts
-    nonzero = _classes(sq)[0][1:]  # the (p-1)/2 nonzero squares
-    inv = _inverses(nonzero, p)
-    first = nonzero <= inv
-    u = nonzero[first]  # one square of each pair class {u, 1/u}
-    w = np.where(u == inv[first], 1, 2)  # m(r) = |{u, 1/u}|
-    n = len(u)
-    # a row's weighted root-count sum is at most 2 * 2 * (p-1)/2 (doubled
-    # columns, weights summing to (p-1)/2)
-    base = 2 * p + 1
-    table = _zero_flagged(rc, base)
-    # no block has more than max(_TILE_CELLS, n) cells, nor more than n^2
-    size = min(n * n, max(_TILE_CELLS, n))
-    sum_buf, index_buf, raw_buf = (np.empty(size, dtype=np.int64) for _ in range(3))
-    sums = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        j = min(n, i + max(1, _TILE_CELLS // (n - i)))
-        a = u[i:j, None]
-        b = u[i:]
-        shape = (j - i, n - i)
-        cells = shape[0] * shape[1]
-        c = np.add(a, b, out=sum_buf[:cells].reshape(shape))
-        index = _product_cell(a, b, c, p, index_buf[:cells].reshape(shape),
-                              raw_buf[:cells].reshape(shape))
-        vals = _gather(table, index, c)  # c is spent; its buffer takes the values
-        # (r, s) and (s, r) give the same cell: columns past the block
-        # stand for both orders, the block's own square for itself
-        sums[i:j] = vals[:, :j - i] @ w[i:j] + 2 * (vals[:, j - i:] @ w[j:])
-        i = j
-    zeros, roots = np.divmod(sums, base)
-    # each class cell stands for 2 * 2 (x, y); on the axes F is x^2 or y^2,
-    # which vanishes only at the origin
-    on_axes = int(rc[0]) + 2 * int(rc[sq[1:]].sum())
-    return 4 * int(roots @ w) + on_axes, 4 * int(zeros @ w) + 1
+    half = (p + 1) // 2  # squares[1:half] holds each nonzero square once
+    psi = np.zeros(p, dtype=np.int8)
+    psi[sq[1:half]] = 2 * rc[1:half] - 2  # 2 chi(a), as chi(-a) = chi(a)
+    r = np.concatenate((psi[:1], psi[:0:-1]))  # r[u] = psi(-u)
+    c = cyclic_convolution(psi[None], r)[0]  # c[d] = sum_A psi(A) psi(A - d)
+    h = rc[reduce_mod(16 - sq, p)] - 1
+    return p * p + int(h @ c)
 
 
-def count_Mp(ctx: FieldContext) -> int:
-    """Number of solutions of z^2 = (x^2 y^2 + 1)(x^2 + y^2)."""
-    return _m_scan(ctx)[0]
+def _m_by_square_classes(ctx: FieldContext) -> int:
+    """M at p = 3 mod 4 by three O(p) sums (see `count_Mp`)."""
+    p = ctx.p
+    sq = ctx.squares
+    rc = ctx.root_counts
+    shifted = sq[1:(p + 1) // 2] + 1  # v + 1 for each v in Q once
+    n = int(np.argmin(rc))  # rc vanishes exactly at the non-squares
+    g1, gn = (int(rc[reduce_mod(c * shifted, p)].sum()) for c in (1, n))
+    n_sq = int(np.count_nonzero(rc[reduce_mod(1 + sq[1:], p)]))
+    on_axes = int(rc[0]) + 2 * int(rc[sq[1:]].sum())  # F is x^2 or y^2 there
+    return on_axes + 2 * (n_sq * g1 + (p - 1 - n_sq) * gn)
 
 
 def count_Np(ctx: FieldContext) -> int:
@@ -195,16 +184,23 @@ def count_S(ctx: FieldContext) -> int:
     return int(a @ cyclic_convolution(a[None], rc)[0])
 
 
-def _locus_X(ctx: FieldContext, z0: int) -> int:
-    """Points of X with y = 0 or z = 0, given the z = 0 tally of `_m_scan`."""
-    on_y0 = int(ctx.root_counts[ctx.squares].sum())  # z^2 = x^2
-    overlap = 1  # y = z = 0 forces x = 0
-    return on_y0 + z0 - overlap
+def _zero_count(ctx: FieldContext) -> int:
+    """Number of (x, y) with F = (x^2 y^2 + 1)(x^2 + y^2) = 0: x^2 + y^2 = 0
+    at sum_x rc[-x^2] points, (xy)^2 = -1 at rc[-1] points (x, w/x) for
+    each x != 0, where x^2 + y^2 = (x^4 - 1)/x^2 vanishes too exactly at
+    the rc[1] + rc[-1] roots of x^4 = 1."""
+    p = ctx.p
+    rc = ctx.root_counts
+    minus_one = int(rc[p - 1])
+    on_circle = int(rc[reduce_mod(-ctx.squares, p)].sum())
+    return on_circle + minus_one * (p - 1 - int(rc[1]) - minus_one)
 
 
 def _locus_X_count(ctx: FieldContext) -> int:
     """Points of X with y = 0 or z = 0, by direct count."""
-    return _locus_X(ctx, _m_scan(ctx)[1])
+    on_y0 = int(ctx.root_counts[ctx.squares].sum())  # z^2 = x^2
+    overlap = 1  # y = z = 0 forces x = 0
+    return on_y0 + _zero_count(ctx) - overlap
 
 
 def _locus_S_count(ctx: FieldContext) -> int:

@@ -8,9 +8,9 @@ that reach the primes the pure-Python counts cannot:
 `pair_tally`, the tiled scan of every pair (b, c) that `quadgraphs` ran
 before it tallied them by FFT; and `m_scan_square_classes` and
 `count_S_square_classes`, row-by-row scans of the grid of square classes
-that `k3` ran before it summed M over orbits and S by convolution.
+that `k3` ran before it took M off the grid and summed S by convolution.
 `cyclic_convolution` is numpy's direct integer convolution, folded: the
-reference for the FFT convolution both kernels now call.
+reference for the FFT convolution the three FFT kernels now call.
 """
 
 from itertools import combinations, product

@@ -598,7 +598,7 @@ def test_cut_covers_each_prime_once_in_order(claim):
 def test_cut_balances_p_squared():
     # no task costs more than 1/16 of the total and its own largest p^2; an
     # equal-count cut puts about 18 % of the cost in its last full task
-    claim = claims.CLAIMS["identity5"]
+    claim = claims.CLAIMS["fibration"]
     assert claim.cost_exponent == 2
     primes = claims.eligible_primes(claim, 3, 1000, None)
     total = sum(p * p for p in primes)
@@ -748,6 +748,17 @@ def test_verify_pattern_claims_frozen_bytes(claim, digest):
     res = run_cli("verify", claim, "--max-p", "2000", "--jobs", "1")
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("claim, prefix", [
+    ("identity5", "2d0c442efa3ff3e7"),
+    ("bookkeeping", "2101269aaa340865"),
+])
+def test_verify_m_claims_frozen_bytes_to_10_to_the_4(capsys, claim, prefix):
+    # sha256 prefix of the records to 10^4 as the orbit scan over the grid
+    # of square classes wrote them, before count_Mp took M off that grid
+    assert cli.main(["verify", claim, "--max-p", "10000"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == prefix
 
 
 # Random argv: each value from its real choices plus one bad value, every

@@ -14,7 +14,8 @@ kernel runs, and no kernel while a closed form runs.  The trace route of
 `stats.collect_traces`, `curves.bsgs_trace`, takes no context at all, and
 no claim reaches it; nor does the pair tally of `count_graph_classes`,
 which sees only the residue indicator it is handed, nor the one exact
-convolution that tally and `count_S` share, which sees only arrays.
+convolution that tally, `count_S` and `count_Mp` share, which sees only
+arrays.
 """
 
 import ast
@@ -56,6 +57,9 @@ class RecordingContext(FieldContext):
 
 _KERNEL_READS = {
     "k3.count_Mp": (k3.count_Mp, {"squares", "root_counts"}),
+    "k3._m_by_correlation": (k3._m_by_correlation, {"squares", "root_counts"}),
+    "k3._m_by_square_classes": (k3._m_by_square_classes, {"squares", "root_counts"}),
+    "k3._zero_count": (k3._zero_count, {"squares", "root_counts"}),
     "k3.count_Np": (k3.count_Np, {"index", "root_counts"}),
     "k3.count_Xprime": (k3.count_Xprime, {"squares", "root_counts"}),
     "k3.count_S": (k3.count_S, {"root_counts"}),
@@ -168,12 +172,13 @@ def test_read_set_table_covers_every_kernel_taking_a_context():
     # caller reads from root_counts, so its reads are in that caller's set
     assert "quadgraphs._pair_tally" not in takes_context
     assert list(inspect.signature(quadgraphs._pair_tally).parameters) == ["is_r", "a"]
-    # so does the convolution it and count_S share
+    # so does the convolution it, count_S and count_Mp share
     assert list(inspect.signature(modarith.cyclic_convolution).parameters) == ["rows", "r"]
 
 
 def test_count_S_and_the_graph_tally_share_one_convolution():
-    for kernel in (k3.count_S, quadgraphs.count_graph_classes):
+    # so does count_Mp, at p = 1 mod 4
+    for kernel in (k3.count_S, quadgraphs.count_graph_classes, k3.count_Mp):
         assert modarith.cyclic_convolution.__code__ in _codes_called(kernel, build_context(101))
     # and no other statement of the package, in k3, quadgraphs or
     # elsewhere, refers to np.fft

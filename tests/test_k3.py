@@ -1,6 +1,5 @@
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,7 +107,7 @@ def _assert_kernels_match_square_class_scans(p):
     s = brute.count_S_square_classes(p)
     for oracle in (False, True):
         ctx = build_context(p, counting_oracle=oracle)
-        assert k3._m_scan(ctx) == (m, z0), (p, oracle)
+        assert (count_Mp(ctx), k3._zero_count(ctx)) == (m, z0), (p, oracle)
         assert count_S(ctx) == s, (p, oracle)
 
 
@@ -123,10 +122,20 @@ def test_orbit_m_and_fft_s_match_square_class_scans_at_random_primes(p):
     _assert_kernels_match_square_class_scans(p)
 
 
-def test_inverses_by_square_and_multiply():
-    for p in (3, 5, 13, 10007):
-        u = np.arange(1, p, dtype=np.int64)
-        assert (k3._inverses(u, p) * u % p == 1).all(), p
+def test_count_Mp_and_the_zero_count_frozen_near_10_to_the_5():
+    # recorded from the orbit scan over the grid of square classes that
+    # count_Mp replaced, one prime of each class mod 4
+    ctx = build_context(100049)
+    assert (count_Mp(ctx), k3._zero_count(ctx)) == (10010187401, 400185)
+    ctx = build_context(100043)
+    assert (count_Mp(ctx), k3._zero_count(ctx)) == (10008801937, 1)
+
+
+def test_count_Mp_refuses_primes_past_its_exactness_limit(monkeypatch):
+    monkeypatch.setattr(k3, "_M_MAX_P", 13)
+    assert count_Mp(build_context(11)) == brute.count_Mp(11)
+    with pytest.raises(ValueError):
+        count_Mp(build_context(13))
 
 
 def test_count_S_refuses_primes_past_its_exactness_limit(monkeypatch):
@@ -153,6 +162,19 @@ def test_count_S_memory_bounded_by_the_context_tables():
     finally:
         tracemalloc.stop()
     assert peak < 4 * tables, peak
+
+
+@pytest.mark.parametrize("p", [1000033, 1000003])  # both routes of count_Mp
+def test_count_Mp_memory_bounded_by_the_context_tables(p):
+    ctx = build_context(p)
+    tables = ctx.chi.nbytes + ctx.root_counts.nbytes + ctx.squares.nbytes  # 17p bytes
+    tracemalloc.start()
+    try:
+        count_Mp(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * tables, peak
 
 
 def _kernel_values(p):
