@@ -35,6 +35,7 @@ point by point.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -45,7 +46,7 @@ from itertools import accumulate
 from multiprocessing.connection import Connection
 
 from .errors import ResidueLabError
-from .modarith import _check_range, build_context, cm_decompose
+from .modarith import build_context, cm_decompose
 from .patterns import count_pattern, jacobsthal, residue_word
 from .quadgraphs import GraphClass, count_graph_classes
 from .claims import CLAIMS, _verify_worker, eligible_primes
@@ -97,7 +98,10 @@ def _open_out(path: str | None, default):
     return open(path, "w") if path else contextlib.nullcontext(default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="residue-lab",
         description="Quadratic-residue pattern counts and their verification "
@@ -301,7 +305,7 @@ def _cmd_verify(args) -> int:
 def _cmd_satotate(args) -> int:
     if args.max_p < _SATOTATE_MIN_P:
         raise ValueError(f"need --max-p >= {_SATOTATE_MIN_P}")
-    _check_range(5, args.max_p)  # the range collect_traces sieves
+    stats._check_bound(args.max_p)  # before --out is opened
     with _open_out(args.out, None) as fh:
         coll = stats.collect_traces(args.curve, args.max_p, _FILTERS[args.filter])
         ts = [s.t for s in coll.samples]

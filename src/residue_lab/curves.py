@@ -14,10 +14,13 @@ The identities these counts enter are checked in `claims`.
 
 A trace has two routes, which share the good-reduction rule and the
 trace law and nothing else.  curve_trace counts every point, in O(p),
-and every trace a claim reads comes from it.  bsgs_trace finds the group
+and every trace a claim reads comes from it.  bsgs_traces finds the group
 order of a few points by baby-step giant-step, in O(p^(1/4)) group
-operations and no table; only stats.collect_traces takes it, and the
-tests pin it to curve_trace, its oracle.
+operations and no table, for a list of primes at once: numpy int64
+lanes step in lockstep, in projective coordinates, with one modular
+inverse per lane for the baby steps and one for the giant steps.  Only
+stats.collect_traces takes it, and the tests pin it to curve_trace, its
+oracle.
 """
 
 import math
@@ -66,12 +69,24 @@ QUARTIC_VARIANT_NAMES = {
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Values of x bsgs_trace tries before it leaves a prime to the Horner
+# Values of x bsgs_traces tries before it leaves a prime to the Horner
 # count.  Past p = 229 the curve or its twist has a point whose order has
 # one multiple in the Hasse interval (Mestre, in Schoof 1995).  Over
 # 500 <= p <= 10^5 the first point left more than one candidate at 3-7 %
 # of the primes for e, a, b and the CM curve, and none needed more than 9.
 _BSGS_POINTS = 16
+
+# Lanes of one bsgs_traces round, one (prime, x) search each.  The round's
+# largest temporaries are five tables of about s rows by _BSGS_LANES int64
+# values (s = 25 near p = 10^5), so a call's peak is set by this constant
+# and s, not by the number of primes: about 1.3 MB near p = 3 * 10^4 and
+# 1.6 MB near 10^5 by tracemalloc.  Fewer lanes pay numpy's fixed cost
+# per call more often.
+_BSGS_LANES = 1024
+
+# bsgs_traces multiplies residues in int64: below 2^31 every product of
+# two residues, and every sum or difference of two such products, is exact.
+_BSGS_MAX_P = 1 << 31
 
 # Values of x per block of the genus-2 check; bounds its temporaries.
 _GENUS2_CHUNK = 1 << 14
@@ -142,23 +157,24 @@ def _trace(p: int, affine: int, infinity: int) -> int:
     return trace
 
 
-def _good_reduction(p: int, f: tuple[int, ...]) -> None:
-    """The one rule both trace routes apply.  Raises ValueError unless f is
-    a cubic or a quartic with a unit leading coefficient mod p, and
-    SingularCurve when p divides disc(f): with a unit leading coefficient,
-    exactly when f is not squarefree mod p."""
+def _singular_primes(primes, f: tuple[int, ...]) -> list[int]:
+    """The one good-reduction rule both trace routes apply: those of
+    `primes` that divide disc(f).  Raises ValueError unless f is a cubic
+    or a quartic with a unit leading coefficient mod each p; with one, p
+    divides disc(f) exactly when f is not squarefree mod p."""
     disc = discriminant(f)  # ValueError unless f is a cubic or a quartic
-    if f[-1] % p == 0:
+    if any(f[-1] % p == 0 for p in primes):
         raise ValueError("need a unit leading coefficient mod p")
-    if disc % p == 0:
-        raise SingularCurve(f"f not squarefree mod {p}")
+    return [p for p in primes if disc % p == 0]
 
 
 def curve_trace(ctx: FieldContext, f: tuple[int, ...]) -> int:
     """Frobenius trace p + 1 - #projective of the smooth model of
     y^2 = f(x), f's coefficients in ascending degree, by counting every
-    point.  Raises as _good_reduction does."""
-    _good_reduction(ctx.p, f)
+    point.  Raises SingularCurve where p divides disc(f), and ValueError
+    as _singular_primes does."""
+    if _singular_primes((ctx.p,), f):
+        raise SingularCurve(f"f not squarefree mod {ctx.p}")
     return _trace(ctx.p, affine_count(ctx, f), _infinity_count(ctx, f))
 
 
@@ -177,12 +193,197 @@ def _weierstrass_model(p: int, f: tuple[int, ...]) -> tuple[int, int, int] | Non
     return None
 
 
-def bsgs_trace(p: int, f: tuple[int, ...]) -> int | None:
-    """The trace curve_trace counts, from the orders of a few points, in
-    O(p^(1/4)) group operations each (baby-step giant-step, Shanks 1971),
-    or None where this route cannot tell: f has no _weierstrass_model, or
-    _BSGS_POINTS values of x leave more than one candidate.  Raises as
-    _good_reduction does.  Takes no FieldContext and reads no table.
+def _chord(P, Q, p, A):
+    """P + Q on Y^2 = X^3 + A X^2 + B X + C in projective coordinates
+    (X : Y : Z), lane by lane, by the chord law (B and C do not enter); Q
+    may be affine, a pair (x, y).  A point with Z = 0 is the point at
+    infinity, and every one made here has X = 0.  In a lane where P or Q
+    is at infinity, or where P = Q, it gives (0, 0, 0), and only there;
+    where P = -Q it gives the point at infinity."""
+    X1, Y1, Z1 = P
+    if len(Q) == 2:
+        (X2, Y2), zz, yz, xz = Q, Z1, Y1, X1
+    else:
+        X2, Y2, Z2 = Q
+        zz, yz, xz = Z1 * Z2 % p, Y1 * Z2 % p, X1 * Z2 % p
+    u = (Y2 * Z1 - yz) % p
+    v = (X2 * Z1 - xz) % p
+    vv = v * v % p
+    vvv = vv * v % p
+    r = vv * xz % p
+    w = ((u * u - A * vv) % p * zz - vvv - 2 * r) % p
+    return v * w % p, (u * (r - w) - vvv * yz) % p, vvv * zz % p
+
+
+def _tangent(P, p, A, B):
+    """2P on the same curve by the tangent law, lane by lane: the point at
+    infinity where P is at infinity or has y = 0.  With D = 2YZ,
+    X' = hD and Z' = D^3."""
+    X, Y, Z = P
+    xx, zz, xz2 = X * X % p, Z * Z % p, 2 * X * Z % p
+    w = (A * xz2 + B * zz + 3 * xx) % p  # the slope's numerator
+    D = 2 * Y * Z % p
+    yd = Y * D % p
+    q = X * yd % p
+    dd = D * D % p
+    h = (w * w - A * dd - 4 * q) % p
+    return h * D % p, (w * (2 * q - h) - 2 * (yd * yd % p)) % p, D * dd % p
+
+
+def _add(P, Q, p, A, B):
+    """P + Q in every lane, Q projective or affine: the chord law, and in
+    the few lanes where it gives (0, 0, 0) the other summand or, for
+    P = Q, the tangent law."""
+    R = _chord(P, Q, p, A)
+    if np.count_nonzero(R[2]) == p.size:
+        return R
+    odd = np.flatnonzero((R[1] == 0) & (R[2] == 0))
+    if odd.size:
+        P, Q = (tuple(c[odd] for c in pt) for pt in (P, Q))
+        if len(Q) == 2:
+            Q = (*Q, np.ones_like(odd))
+        D = _tangent(P, p[odd], A[odd], B[odd])
+        for r, pc, qc, dc in zip(R, P, Q, D):
+            r[odd] = np.where(P[2] == 0, qc, np.where(Q[2] == 0, pc, dc))
+    return R
+
+
+def _step(Q, T, T2, p, A):
+    """Q + T in every lane for an affine T whose double T2 is known, as a
+    walk adds one fixed point: the chord law, and where it gives (0, 0, 0)
+    T itself (Q at infinity) or T2 (Q = T)."""
+    R = _chord(Q, T, p, A)
+    if np.count_nonzero(R[2]) == p.size:
+        return R
+    odd = np.flatnonzero((R[1] == 0) & (R[2] == 0))
+    at_infinity = Q[2][odd] == 0
+    for r, t, t2 in zip(R, (*T, np.ones_like(p)), T2):
+        r[odd] = np.where(at_infinity, t[odd], t2[odd])
+    return R
+
+
+def _normalise(X, Y, Z, p):
+    """X/Z and Y/Z in place, for tables of projective points with one row
+    per point and one column per lane, by one inversion per lane
+    (Montgomery's trick along the lane's points).  A point at infinity is
+    read with Z = 1, so it keeps X = 0; Z is overwritten."""
+    np.copyto(Z, 1, where=Z == 0)
+    inv = Z.copy()  # prefix products, then the inverses
+    for j in range(1, len(Z)):
+        np.remainder(np.multiply(inv[j - 1], Z[j], out=inv[j]), p, out=inv[j])
+    last = np.array([pow(z, -1, q) for z, q in zip(inv[-1].tolist(), p.tolist())])
+    for j in range(len(Z) - 1, 0, -1):
+        np.remainder(np.multiply(last, inv[j - 1], out=inv[j]), p, out=inv[j])
+        last = last * Z[j] % p
+    inv[0] = last
+    for table in (X, Y):
+        np.remainder(np.multiply(table, inv, out=table), p, out=table)
+
+
+def _hasse_multiples(p, A, B, P) -> list:
+    """For each lane, the multiples m of the order of the affine point P in
+    the Hasse interval [lo, hi] = [p + 1 - t, p + 1 + t], t = isqrt(4p), by
+    baby-step giant-step with s = isqrt(t) baby steps for the largest t.
+
+    The baby steps jP, j = 1..s, and G = [2s + 1]P are normalised together,
+    and so are the giant steps.  A first y = 0 at jP, or a first x shared
+    by jP and j'P, gives the order 2j or j + j' when it is at most 2s, and
+    every later coincidence, a step at infinity (read as x = 0) among
+    them, a multiple of it, so the order is the least of them.  Otherwise
+    the s x's are distinct.  [lo + s]P is reached w bits at a time, adding
+    baby steps (2^w <= s + 1); then a giant step [mid]P at infinity, or
+    with the x of jP, puts mid, or mid -+ j as its y is +-that of jP, in
+    the window [mid - s, mid + s], and the windows tile [lo, hi].  The
+    tables are updated in place, so that at most five of s or so rows by
+    the number of lanes are held at once.
+    """
+    t = np.sqrt(4 * p).astype(np.int64)  # exact: 4p < 2^52
+    lo, hi, s = p + 1 - t, p + 1 + t, math.isqrt(int(t.max()))
+    lanes = np.arange(p.size)
+    bx, by, bz = (np.empty((s + 1, p.size), dtype=np.int64) for _ in range(3))
+    P2 = _tangent((*P, np.ones_like(p)), p, A, B)
+    R = (*P, np.ones_like(p))
+    for j in range(s):
+        bx[j], by[j], bz[j] = R
+        R = P2 if j == 0 else _step(R, P, P2, p, A)
+    bx[s], by[s], bz[s] = _add((bx[s - 1], by[s - 1], bz[s - 1]), R, p, A, B)
+    g_at_infinity = bz[s] == 0
+    _normalise(bx, by, bz, p)
+    del bz
+    G, bx, by = (bx[s].copy(), by[s].copy()), bx[:s], by[:s]
+    # Q = [lo + s]P, from the top window of w bits down
+    n = lo + s
+    w = (s + 1).bit_length() - 1
+    shift = -(-int(n.max()).bit_length() // w) * w - w
+    digit = n >> shift
+    Q = (np.where(digit > 0, bx[digit - 1, lanes], 0),
+         np.where(digit > 0, by[digit - 1, lanes], 1), (digit > 0).astype(np.int64))
+    while shift:
+        for _ in range(w):
+            Q = _tangent(Q, p, A, B)
+        shift -= w
+        digit = n >> shift & (1 << w) - 1
+        S = _add(Q, (bx[digit - 1, lanes], by[digit - 1, lanes]), p, A, B)
+        Q = tuple(np.where(digit > 0, sc, qc) for sc, qc in zip(S, Q))
+    # the baby steps sorted lane by lane, keyed by lane, x, j (s < 2^10)
+    # and the parity of y, which tells y from p - y
+    step = np.arange(1, s + 1)[:, None]
+    order = np.where(by == 0, 2 * step, 2 * s + 1).min(axis=0)
+    keys = bx << 11
+    keys |= by & 1
+    del bx, by
+    keys |= step << 1
+    keys |= lanes << 42
+    keys = keys.ravel()
+    keys.sort()
+    pair = np.flatnonzero(keys[1:] >> 11 == keys[:-1] >> 11)
+    np.minimum.at(order, keys[pair] >> 42, (keys[pair] >> 1 & 1023) + (keys[pair + 1] >> 1 & 1023))
+    order[order > 2 * s] = 0
+    giants = int(((hi - lo) // (2 * s + 1)).max()) + 1
+    gx, gy, gz = (np.empty((giants, p.size), dtype=np.int64) for _ in range(3))
+    G2 = _tangent((*G, np.ones_like(p)), p, A, B)
+    for k in range(giants):
+        if k:
+            S = _step(Q, G, G2, p, A)
+            Q = tuple(np.where(g_at_infinity, qc, sc) for sc, qc in zip(S, Q)) \
+                if g_at_infinity.any() else S
+        gx[k], gy[k], gz[k] = Q
+    at_infinity = gz == 0
+    _normalise(gx, gy, gz, p)
+    del gz
+    # each giant x looked up among the baby x's of its lane: the first key
+    # at or past (lane, x, 0, 0) is that of the jP sharing its x
+    gx <<= 11
+    gx |= lanes << 42
+    j = keys.take(np.searchsorted(keys, gx), mode="clip")
+    gx ^= j
+    hit = gx < 1 << 11
+    gy ^= j
+    gy &= 1
+    twin = gy == 0
+    del gx, gy
+    j >>= 1
+    j &= 1023
+    windows = lo + s + (2 * s + 1) * np.arange(giants)[:, None]  # the mids
+    np.negative(j, out=j, where=twin)
+    np.add(windows, j, out=windows, where=hit & ~at_infinity)
+    windows[~(hit | at_infinity) | (windows > hi)] = 0
+    first = np.where(order > 0, -(-lo // np.maximum(order, 1)) * order, windows.max(axis=0))
+    one = np.where(order > 0, first + order > hi, np.count_nonzero(windows, axis=0) == 1)
+    return [(m,) if single else range(m, top + 1, n) if n else
+            [v for v in windows[:, lane].tolist() if v]
+            for lane, (single, m, n, top) in enumerate(zip(
+                one.tolist(), first.tolist(), order.tolist(), hi.tolist()))]
+
+
+def bsgs_traces(primes, f: tuple[int, ...]) -> list[int | None]:
+    """The traces curve_trace counts at each of `primes`, a sequence, from
+    the orders of a few points, in O(p^(1/4)) group operations each
+    (baby-step giant-step, Shanks 1971), or None where this route cannot
+    tell: f has no _weierstrass_model at p, or _BSGS_POINTS values of x
+    leave more than one candidate.  Raises as curve_trace does where one
+    of them reduces badly, and ValueError for p >= 2^31, before any work.
+    Takes no FieldContext and reads no table.
 
     On the model y^2 = g(x) = x^3 + a x^2 + b x + c, for each x0 from
     p // 2 on with d = g(x0) != 0, the point (d x0, d^2) lies on the twist
@@ -191,82 +392,71 @@ def bsgs_trace(p: int, f: tuple[int, ...]) -> int | None:
     the Hasse interval gives a candidate trace, and each point narrows the
     candidates the ones before it left.  Small fixed x0 would give
     rational torsion points, such as (0, 6) on the model of e.
+
+    The searches run in lockstep, one numpy int64 lane per (prime, x0),
+    up to _BSGS_LANES lanes a round with s baby steps for the round's
+    largest prime.  A prime takes its next x0 only while it keeps more
+    than one candidate, in the next round; once no new prime is left, it
+    takes several of its remaining x0 in one round.  The candidates are
+    the multiples of the point's order however the work is cut, so the
+    traces do not depend on the rounds.
     """
-    _good_reduction(p, f)
-    model = _weierstrass_model(p, f)
-    if model is None:
-        return None
-    a, b, c = model
-    ta = tb = 0  # the twist's a d and b d^2, read by add
-
-    def add(P, Q):
-        # affine points as (x, y), the point at infinity as None
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        (x1, y1), (x2, y2) = P, Q
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            lam = (3 * x1 * x1 + 2 * ta * x1 + tb) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - ta - x1 - x2) % p
-        return x3, (lam * (x1 - x3) - y1) % p
-
-    def mul(n, P):
-        R = P
-        for bit in bin(n)[3:]:
-            R = add(R, R)
-            if bit == "1":
-                R = add(R, P)
-        return R
-
-    t = math.isqrt(4 * p)  # |a_p| <= t, as 4p is not a square
-    lo, hi = p + 1 - t, p + 1 + t
-    s = math.isqrt(t)  # s baby steps, about as many giant steps
-    traces = None
-    for x0 in range(p // 2, p // 2 + _BSGS_POINTS):
-        d = (((x0 + a) * x0 + b) * x0 + c) % p
-        if d == 0:
-            continue
-        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
-        ta, tb = a * d % p, b * d * d % p
-        P = (d * x0 % p, d * d % p)
-        # baby steps jP, j = 1..s, keyed by x; the first y = 0 or repeated
-        # x (jP = -j'P) gives the order of P when it is at most 2s
-        baby, S, R, order = {}, None, P, 0
-        for j in range(1, s + 1):
-            x, y = R
-            if y == 0:
-                order = 2 * j
+    if primes and max(primes) >= _BSGS_MAX_P:
+        raise ValueError("need p < 2^31 for exact int64 products")
+    singular = _singular_primes(primes, f)
+    if singular:
+        raise SingularCurve(f"f not squarefree mod {singular[0]}")
+    traces = [None] * len(primes)
+    candidates = {}
+    waiting = []  # (index, next x0 offset, model) of primes left undecided
+    fresh = iter(range(len(primes)))
+    while True:
+        spans = [(i, k, k + 1, model) for i, k, model in waiting[:_BSGS_LANES]]
+        waiting = waiting[_BSGS_LANES:]
+        carried = len(spans)
+        while len(spans) < _BSGS_LANES:
+            i = next(fresh, None)
+            if i is None:
+                # no new prime left: the waiting ones take several x0 at once
+                width = max(1, (_BSGS_LANES // 2 - len(spans)) // max(carried, 1) + 1)
+                spans[:carried] = [(i, k, min(k + width, _BSGS_POINTS), model)
+                                   for i, k, _, model in spans[:carried]]
                 break
-            if x in baby:
-                order = j + baby[x][0]
-                break
-            baby[x] = (j, y)
-            S, R = R, add(R, P)
-        if order:
-            orders = range(-(-lo // order) * order, hi + 1, order)
-        else:
-            # giant steps: Q = [mid]P = +-jP puts mid -+ j in the window
-            # [mid - s, mid + s]; the windows tile [lo, hi]
-            G, Q, orders = add(S, R), mul(lo + s, P), []  # G = [2s + 1]P
-            for mid in range(lo + s, hi + s + 1, 2 * s + 1):
-                if Q is None:
-                    orders.append(mid)
-                elif Q[0] in baby:
-                    j, y = baby[Q[0]]
-                    orders.append(mid - j if Q[1] == y else mid + j)
-                Q = add(Q, G)
-        found = {chi * _trace(p, m, 0) for m in orders if m <= hi}
-        traces = found if traces is None else traces & found
-        if not traces:
-            raise ArithmeticError(f"no group order in the Hasse interval at p={p}")
-        if len(traces) == 1:
-            return traces.pop()
-    return None
+            model = _weierstrass_model(primes[i], f)
+            if model is not None:
+                spans.append((i, 0, 1, model))
+        if not spans:
+            return traces
+        idx, p, offset, a, b, c = np.array(
+            [(i, primes[i], k, *model) for i, k0, k1, model in spans for k in range(k0, k1)],
+            dtype=np.int64).T
+        x = (p // 2 + offset) % p
+        d = (((x + a) * x % p + b) * x % p + c) % p
+        idx, p, x, a, b, d = (v[d != 0] for v in (idx, p, x, a, b, d))
+        multiples = _hasse_multiples(
+            p, a * d % p, b * d % p * d % p, (d * x % p, d * d % p)) if idx.size else ()
+        for i, q, e, ms in zip(idx.tolist(), p.tolist(), d.tolist(), multiples):
+            if traces[i] is not None:
+                continue  # told by an earlier x0 of this round
+            chi = 1 if pow(e, (q - 1) // 2, q) == 1 else -1
+            known = candidates.pop(i, None)
+            if known is None and len(ms) == 1:
+                traces[i] = chi * _trace(q, ms[0], 0)
+                continue
+            found = {chi * _trace(q, m, 0) for m in ms}
+            known = found if known is None else known & found
+            if not known:
+                raise ArithmeticError(f"no group order in the Hasse interval at p={q}")
+            if len(known) == 1:
+                traces[i] = known.pop()
+            else:
+                candidates[i] = known
+        del multiples  # before the next round's tables
+        for i, _, k1, model in spans:
+            if traces[i] is not None or k1 >= _BSGS_POINTS:
+                candidates.pop(i, None)
+            else:
+                waiting.append((i, k1, model))
 
 
 def named_curve_traces(ctx: FieldContext) -> dict[str, int]:

@@ -8,9 +8,10 @@ them into fixed 40-bin histograms.  The `satotate` command composes its
 report from these three pieces.
 
 The traces are data for these statistics, and no closed form checks
-them, so collect_traces may take them from baby-step giant-step rather
-than a count of every point; its docstring gives the rule.  The two
-routes give the same integers, and the claims read only counted traces.
+them, so collect_traces may take them from baby-step giant-step, for
+all its primes in one call, rather than a count of every point; its
+docstring gives the rule.  The two routes give the same integers, and
+the claims read only counted traces.
 """
 
 import math
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, SingularCurve, UnknownCurve
-from .modarith import build_context, primes_in
+from .errors import EmptySample, UnknownCurve
+from .modarith import _check_range, build_context, primes_in
 from . import curves
 
 HISTOGRAM_BINS = 40
@@ -47,31 +48,39 @@ def curve_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _check_bound(bound: int) -> None:
+    """ValueError unless collect_traces takes `bound`, before any sieve is
+    built: at least 5, a range primes_in can index, and below 2^31, where
+    the trace route stops."""
+    if bound < 5:
+        raise ValueError("need bound >= 5")
+    _check_range(5, bound)
+    if bound >= curves._BSGS_MAX_P:
+        raise ValueError("need bound < 2^31, the trace route's limit")
+
+
 def collect_traces(curve: str, bound: int,
                    residue_filter: tuple[int, int] | None = None) -> TraceCollection:
     """Normalized traces at all good primes in [5, bound] passing the filter.
 
     Primes below 5 stay out of every collection (the quartic models lose
     good reduction there); bad-reduction primes inside the range are
-    recorded in `skipped`, by the one rule both routes apply.  Each trace
-    comes from curves.bsgs_trace, which needs no tables, and at a prime
+    recorded in `skipped`, by the one rule both routes apply.  The traces
+    come from one call of curves.bsgs_traces on the good primes, which
+    needs no tables and holds a round of lanes at a time, and at a prime
     that route cannot tell from the Horner count curves.curve_trace, its
     oracle in the tests, on a context built for that prime alone.
     """
     spec = _REGISTRY.get(curve)
     if spec is None:
         raise UnknownCurve(f"unknown curve {curve!r}; known: {curve_ids()}")
-    if bound < 5:
-        raise ValueError("need bound >= 5")
-    coll = TraceCollection(curve)
-    for p in primes_in(5, bound, residue_filter):
-        try:
-            trace = curves.bsgs_trace(p, spec)
-            if trace is None:
-                trace = curves.curve_trace(build_context(p), spec)
-        except SingularCurve:
-            coll.skipped.append(p)
-            continue
+    _check_bound(bound)
+    primes = primes_in(5, bound, residue_filter)
+    coll = TraceCollection(curve, skipped=curves._singular_primes(primes, spec))
+    good = [p for p in primes if p not in coll.skipped]
+    for p, trace in zip(good, curves.bsgs_traces(good, spec)):
+        if trace is None:
+            trace = curves.curve_trace(build_context(p), spec)
         # a_p / (2 sqrt p), which the Hasse bound puts in (-1, 1)
         coll.samples.append(TraceSample(p, trace / (2.0 * math.sqrt(p))))
     return coll

@@ -441,6 +441,17 @@ def test_usage_error_leaves_out_untouched(monkeypatch, capsys, tmp_path):
     assert out.read_bytes() == b"bin_lo,bin_hi,count,density\n"
 
 
+def test_satotate_past_the_trace_route_exits_2(capsys, tmp_path):
+    # the trace route stops below 2^31: a usage error, found before --out
+    # is opened and before a sieve of --max-p bytes is built
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"keep\n")
+    assert cli.main(["satotate", "e", "--max-p", str(2 ** 31), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: ValueError: need bound < 2^31, the trace route's limit\n"
+    assert out.read_bytes() == b"keep\n"
+
+
 @pytest.mark.parametrize("command", [["verify", "identity5"], ["satotate", "e"]])
 def test_max_p_past_the_index_range_exits_2(capsys, tmp_path, command):
     # a prime above 2^63: its sieve cannot be indexed, a usage error and
@@ -687,6 +698,14 @@ def test_verify_every_claim_frozen_bytes(capsys, two_cpus, claim, code, digest):
     (("satotate", "weierstrass", "--max-p", "2000"),
      "f52f962abc947872f1d6ec8428ad0013beb12512d31ff0ee25ab42e5184cdbdd",
      "2255119597dcedf676139b6e72b01bb599ce197b073e95e8851055611608446a"),
+    # the README's two satotate examples, recorded while every trace came
+    # from the scalar baby-step giant-step route, one prime at a time
+    (("satotate", "e", "--max-p", "100000"),
+     "159054d617f6c32048f488af136bcefcae576175f693e9111ec4dc3260be447c",
+     "399074a989894250c2c82c39dc3173bc3d62bed21084e1af589e3b2d31b78f0c"),
+    (("satotate", "weierstrass", "--filter", "1mod4", "--max-p", "100000"),
+     "a4543a747385d419a02b2ddba49e146276b22686ea12fb8cd6bc8d478af927ea",
+     "10b18dabf5e56574906e94c4d40f2b4377682895038589954c214cd4687e6abf"),
 ])
 def test_command_frozen_bytes(capsys, tmp_path, argv, digest, csv_digest):
     # sha256 of stdout and of the --out histogram CSV, recorded while the
@@ -698,6 +717,25 @@ def test_command_frozen_bytes(capsys, tmp_path, argv, digest, csv_digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
     if csv_digest:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+
+
+def test_main_in_one_process_matches_fresh_processes(capsys):
+    # main shares one parser across calls: a usage error, then a valid
+    # verify, then satotate, each as a fresh process would run it
+    argvs = (["verify", "nonsense", "--max-p", "100"],
+             ["verify", "identity5", "--max-p", "60"],
+             ["satotate", "e", "--max-p", "300"])
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
+        if code == 2:
+            assert captured.err == fresh.stderr
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_unknown_claim_exits_2():

@@ -1,4 +1,6 @@
 import functools
+import sys
+import tracemalloc
 from itertools import combinations
 from math import prod
 
@@ -356,7 +358,7 @@ def test_poly_eval_all_matches_per_step_horner(p, spec):
 _REGISTRY_SPECS = {"weierstrass": WEIERSTRASS_CM, **NAMED_CURVES}
 
 
-# The primes at which bsgs_trace gives up on each registry curve, so that
+# The primes at which bsgs_traces gives up on each registry curve, so that
 # collect_traces counts every point there: below p = 229 a curve and its
 # twist may have no point whose order has one multiple in the Hasse
 # interval (Mestre), and each point narrows the candidates of the ones
@@ -367,18 +369,18 @@ BSGS_GIVES_UP = {"weierstrass": [5, 7, 11, 29], "a": [5, 7, 11, 29],
 
 
 # Every prime 5 <= p <= 3000 is checked, in two parts split at p = 500,
-# where satotate once switched from counting every point to bsgs_trace:
-# below it the route gives up exactly at the pinned primes, from it on it
-# answers at every prime.
+# where satotate once switched from counting every point to the
+# baby-step giant-step route: below it the route gives up exactly at the
+# pinned primes, from it on it answers at every prime.
 _CUTOFF = 500
 
 
 def test_bsgs_trace_below_the_cutoff_is_exact_or_gives_up():
     gave_up = {}
-    for p in primes_in(5, _CUTOFF - 1):
-        ctx = build_context(p)
-        for name, f in _REGISTRY_SPECS.items():
-            trace = curves.bsgs_trace(p, f)
+    primes = primes_in(5, _CUTOFF - 1)
+    contexts = [build_context(p) for p in primes]
+    for name, f in _REGISTRY_SPECS.items():
+        for p, ctx, trace in zip(primes, contexts, curves.bsgs_traces(primes, f)):
             if trace is None:
                 gave_up.setdefault(name, []).append(p)
             else:
@@ -387,31 +389,106 @@ def test_bsgs_trace_below_the_cutoff_is_exact_or_gives_up():
 
 
 def test_bsgs_trace_equals_horner_from_the_cutoff_to_3000():
-    for p in primes_in(_CUTOFF, 3000):
-        ctx = build_context(p)
-        for name, f in _REGISTRY_SPECS.items():
-            assert curves.bsgs_trace(p, f) == curve_trace(ctx, f), (name, p)
+    primes = primes_in(_CUTOFF, 3000)
+    contexts = [build_context(p) for p in primes]
+    for name, f in _REGISTRY_SPECS.items():
+        for p, ctx, trace in zip(primes, contexts, curves.bsgs_traces(primes, f)):
+            assert trace == curve_trace(ctx, f), (name, p)
 
 
 @pytest.mark.parametrize("p", [99991, 100003, 999983, 1000003])
 def test_bsgs_trace_equals_horner_at_spot_primes(p):
     ctx = build_context(p)
     for name, f in _REGISTRY_SPECS.items():
-        assert curves.bsgs_trace(p, f) == curve_trace(ctx, f), name
+        assert curves.bsgs_traces([p], f) == [curve_trace(ctx, f)], name
 
 
 def test_bsgs_trace_applies_the_good_reduction_rule():
     with pytest.raises(SingularCurve):
-        curves.bsgs_trace(3, NAMED_CURVES["b"])
+        curves.bsgs_traces([3], NAMED_CURVES["b"])
     with pytest.raises(SingularCurve):
-        curves.bsgs_trace(601, (0, 0, 1, 1))  # x^2 (x + 1)
+        curves.bsgs_traces([601], (0, 0, 1, 1))  # x^2 (x + 1)
     with pytest.raises(ValueError):
-        curves.bsgs_trace(601, (1, 0, 0, 601))
+        curves.bsgs_traces([601], (1, 0, 0, 601))
     with pytest.raises(ValueError):
-        curves.bsgs_trace(601, GENUS2_QUINTIC)
+        curves.bsgs_traces([601], GENUS2_QUINTIC)
     # models with no Weierstrass form here keep the Horner route
-    assert curves.bsgs_trace(601, (1, 0, 0, 2)) is None
-    assert curves.bsgs_trace(601, (1, 0, 0, 0, 1)) is None
+    assert curves.bsgs_traces([601], (1, 0, 0, 2)) == [None]
+    assert curves.bsgs_traces([601], (1, 0, 0, 0, 1)) == [None]
+    # a bad prime anywhere in the list stops the call before any work
+    with pytest.raises(SingularCurve):
+        curves.bsgs_traces([601, 607, 3], NAMED_CURVES["b"])
+
+
+def test_bsgs_traces_refuses_primes_past_int64_products():
+    # p >= 2^31 is refused before the rule or any lane is computed; just
+    # below, where residue products still fit in int64, the CM curve has
+    # trace 0 at p = 2^31 - 1 = 3 mod 4
+    with pytest.raises(ValueError, match="2\\^31"):
+        curves.bsgs_traces([601, 2 ** 31 + 11], WEIERSTRASS_CM)
+    assert curves.bsgs_traces([2 ** 31 - 1], WEIERSTRASS_CM) == [0]
+
+
+# The exceptional cases of a lane, each at a (curve, p) where the scalar
+# route this one replaced met it, on the curve's first point: the point's
+# order at most 2s, told by the baby steps; a giant step on the point at
+# infinity; and the chord law met with P = Q inside the scalar multiple
+# [lo + s]P.  At the primes 1621, 12301 and 13729 the CM curve needs 9
+# points, the most below 30000.
+@pytest.mark.parametrize("name, p", [
+    ("d", 541), ("weierstrass", 523), ("weierstrass", 1093),
+    ("weierstrass", 1621), ("weierstrass", 12301), ("weierstrass", 13729)])
+def test_bsgs_traces_exceptional_lanes(name, p):
+    f = _REGISTRY_SPECS[name]
+    assert curves.bsgs_traces([p], f) == [curve_trace(build_context(p), f)]
+
+
+def test_bsgs_traces_do_not_depend_on_the_cut(monkeypatch):
+    # give-up primes on both sides of every cut, so that some lanes are
+    # carried from round to round, and the give-up primes again after the
+    # last new prime, where the waiting ones take several x0 at once
+    f = _REGISTRY_SPECS["weierstrass"]
+    primes = [5, 7, 11, 29, *primes_in(1500, 1700), 5, 7, 11, 29, 1621]
+    alone = [curves.bsgs_traces([p], f)[0] for p in primes]
+    assert alone == [None if p in BSGS_GIVES_UP["weierstrass"]
+                     else curve_trace(build_context(p), f) for p in primes]
+    assert curves.bsgs_traces(primes, f) == alone
+    for lanes in (4, 7, 16):
+        monkeypatch.setattr(curves, "_BSGS_LANES", lanes)
+        assert curves.bsgs_traces(primes, f) == alone, lanes
+        assert curves.bsgs_traces(primes[:13], f) + curves.bsgs_traces(primes[13:], f) \
+            == alone, lanes
+    # and across the module's own round of lanes, past p = 9000
+    monkeypatch.undo()
+    primes = [*primes_in(5, 9000), 5, 7, 11, 29]
+    assert len(primes) > curves._BSGS_LANES
+    whole = curves.bsgs_traces(primes, f)
+    assert whole == curves.bsgs_traces(primes[:600], f) + curves.bsgs_traces(primes[600:], f)
+    assert [p for p, t in zip(primes, whole) if t is None] == [5, 7, 11, 29] * 2
+
+
+def test_bsgs_traces_memory_is_bounded_by_the_round():
+    # four rounds' worth of primes near 10^5 peak no higher than one round
+    # of the largest of them, less the output list: the lanes, and the
+    # primes still undecided, are the route's only state
+    f = NAMED_CURVES["e"]
+    primes = primes_in(100000, 200000)[:4 * curves._BSGS_LANES]
+
+    def peak_less_output(ps):
+        tracemalloc.start()
+        try:
+            traces = curves.bsgs_traces(ps, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert None not in traces
+        return peak - sys.getsizeof(traces) - sum(
+            sys.getsizeof(t) for t in traces if not -5 <= t <= 256)
+
+    one = peak_less_output(primes[-curves._BSGS_LANES:])
+    four = peak_less_output(primes)
+    assert four < 1.05 * one, (four, one)
+    assert one < 3 << 20, one
 
 
 def test_quartic_to_cubic_map_on_e():
@@ -452,9 +529,9 @@ def test_bsgs_trace_equals_horner_on_random_models(p, f):
     # d^2 b x + d^3 c or as the quartic delta*f, has the negative trace
     assume(f[-1] % p and curves.discriminant(f) % p)
     ctx = build_context(p)
-    trace = curves.bsgs_trace(p, f)
+    [trace] = curves.bsgs_traces([p], f)
     assert trace == curve_trace(ctx, f)
     d = ctx.delta
     twist = (d ** 3 * f[0], d * d * f[1], d * f[2], 1) if len(f) == 4 \
         else tuple(d * a for a in f)
-    assert curves.bsgs_trace(p, twist) == -trace
+    assert curves.bsgs_traces([p], twist) == [-trace]

@@ -11,8 +11,8 @@ modules also hold no closed form, claim runner or record type, so none of
 them can call the identity it is checked against; and at run time a
 profile of every claim checks that no closed form is called while a
 kernel runs, and no kernel while a closed form runs.  The trace route of
-`stats.collect_traces`, `curves.bsgs_trace`, takes no context at all, and
-no claim reaches it; nor does the pair tally of `count_graph_classes`,
+`stats.collect_traces`, `curves.bsgs_traces`, takes primes, not a context,
+and no claim reaches it; nor does the pair tally of `count_graph_classes`,
 which sees only the residue indicator it is handed, nor the one exact
 convolution that tally, `count_S` and `count_Mp` share, which sees only
 arrays.
@@ -164,10 +164,10 @@ def test_read_set_table_covers_every_kernel_taking_a_context():
         name for name, fn in takes_context.items() if fn.__code__ in reached}
     assert set(takes_context) - covered == set(), set(takes_context) - covered
     assert set(_KERNEL_EXEMPT) <= set(takes_context)
-    # the trace route of stats.collect_traces takes a prime, not a context,
+    # the trace route of stats.collect_traces takes primes, not a context,
     # so it has no read set: it counts no table at all
-    assert "curves.bsgs_trace" not in takes_context
-    assert list(inspect.signature(curves.bsgs_trace).parameters) == ["p", "f"]
+    assert "curves.bsgs_traces" not in takes_context
+    assert list(inspect.signature(curves.bsgs_traces).parameters) == ["primes", "f"]
     # the pair tally of count_graph_classes takes the residue indicator its
     # caller reads from root_counts, so its reads are in that caller's set
     assert "quadgraphs._pair_tally" not in takes_context
@@ -195,7 +195,7 @@ def test_the_bsgs_route_builds_no_context_and_calls_no_closed_form():
     # form and builds no context
     for f in (WEIERSTRASS_CM, *NAMED_CURVES.values()):
         for p in (601, 99991):
-            files = {code.co_filename for code in _codes_called(curves.bsgs_trace, p, f)
+            files = {code.co_filename for code in _codes_called(curves.bsgs_traces, [p], f)
                      if "residue_lab" in code.co_filename}
             assert files == {curves.__file__}, f
 
@@ -205,7 +205,7 @@ def test_no_claim_reaches_the_bsgs_route():
     # stats.collect_traces takes the baby-step giant-step route
     for claim in sorted(claims.CLAIMS):
         called = _codes_called(claims.run_claim, claim, 601)
-        assert curves.bsgs_trace.__code__ not in called, claim
+        assert curves.bsgs_traces.__code__ not in called, claim
 
 
 def test_recording_context_sees_every_field():

@@ -43,6 +43,19 @@ def test_collect_traces_unknown_curve():
         collect_traces("e", 3)
 
 
+def test_collect_traces_refuses_bounds_past_the_route_before_sieving():
+    # the route refuses p >= 2^31, so a larger bound is refused before its
+    # sieve of `bound` bytes is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^31"):
+            collect_traces("e", 2 ** 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
 def test_traces_strictly_inside_interval():
     for curve in ("a", "b", "e", "weierstrass"):
         for s in collect_traces(curve, 2000).samples:
@@ -192,9 +205,10 @@ def test_collect_traces_equals_counting_every_point(residue_filter):
 def test_collect_traces_memory_below_one_context():
     # no p-sized arena above the cutoff: a collection to 10^5 peaks below
     # 10 bytes per p, when the tables of one context at p = 10^5 take 25
-    # (about 5 bytes per p, the prime sieve and list, against 42 when every
-    # trace was a Horner count).  The filter keeps 300 primes, since
-    # tracemalloc slows the route's pure-Python group law about 30-fold.
+    # (about 6 bytes per p, the prime sieve and list and one round of 300
+    # lanes, against 42 when every trace was a Horner count).  The filter
+    # keeps 300 primes, since tracemalloc slows the collection about 8- to
+    # 16-fold; the curves tests bound a full round's peak by the round.
     bound = 100000
     tracemalloc.start()
     try:
