@@ -26,11 +26,12 @@ without changing its value:
   (see `count_S` for the p it accepts).
 - Fixed tiles.  Rows of the chart's class grid are processed in blocks of
   about _TILE_CELLS cells, each reduced with a matrix-vector product
-  against the column weights.  Every block is computed in place in the
-  same few buffers, allocated once per scan, so no temporary exceeds one
-  block and the scan does not churn the heap from block to block.  One of
-  them holds each block's unreduced products, which `reduce_mod` reduces
-  into the next without a temporary.
+  against the column weights.  A cell of row a = t^2 and column q = x1^4
+  is alpha q + beta mod p, with alpha = a (a + 1) mod p and beta = a + 1
+  fixed per row: one multiply-add and one reduction.  Every block is
+  computed in place in the same few buffers, allocated once per scan, so
+  no temporary exceeds one block and the scan does not churn the heap
+  from block to block.
 
 The kernels read only `ctx.squares` and `ctx.root_counts` (never chi, J or
 a curve trace) and import no closed form, so an `--oracle` context drives
@@ -44,10 +45,6 @@ from . import curves
 
 # Cells of the class grid reduced per block; bounds every temporary.
 _TILE_CELLS = 1 << 14
-
-# Largest p whose unreduced cell value (a*b + 1)*c < 2p^3 fits in int64;
-# above it the first factor is reduced mod p before the product.
-_ONE_REDUCTION_MAX_P = 1_600_000
 
 # count_Mp and count_S refuse p at or above these: see their docstrings.
 _M_MAX_P = 1 << 31
@@ -68,25 +65,6 @@ def _zero_flagged(root_counts: np.ndarray, base: int) -> np.ndarray:
     table = root_counts.astype(np.int64)
     table[0] += base
     return table
-
-
-def _product_cell(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int,
-                  out: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """(a*b + 1) * c mod p into out, for a column a, a row b and c < 2p;
-    raw, of out's shape, takes the unreduced products."""
-    np.multiply(a, b, out=raw)
-    raw += 1
-    if p > _ONE_REDUCTION_MAX_P:
-        np.multiply(reduce_mod(raw, p, out=out), c, out=raw)
-    else:
-        raw *= c
-    return reduce_mod(raw, p, out=out)
-
-
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """table[index] into out.  Every index is already reduced mod p, so
-    "clip" never acts; unlike the default mode it needs no temporary."""
-    return np.take(table, index, out=out, mode="clip")
 
 
 def count_Mp(ctx: FieldContext) -> int:
@@ -231,17 +209,24 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     # a row's weighted root-count sum over x1 != 0 is at most 2(p - 1)
     base = 2 * p + 1
     table = _zero_flagged(rc, base)
-    # sums[i] = sum_j weights[j] * table[(t2[i] cols[j] + 1)(t2[i] + 1) mod p],
+    # (a q + 1)(a + 1) = alpha q + beta at a = t^2, q = x1^4; every unreduced
+    # alpha q + beta is below p^2, exact in int64 for p < 3 * 10^9
+    beta = t2 + 1
+    alpha = reduce_mod(t2 * beta, p)
+    # sums[i] = sum_j weights[j] * table[(alpha[i] cols[j] + beta[i]) mod p],
     # over rows of t2 in blocks of about _TILE_CELLS cells
     step = max(1, _TILE_CELLS // len(cols))
     index_buf = np.empty((min(step, len(t2)), len(cols)), dtype=np.int64)
     value_buf = np.empty_like(index_buf)
     sums = np.empty(len(t2), dtype=np.int64)
     for i in range(0, len(t2), step):
-        a = t2[i:i + step, None]
-        index = _product_cell(a, cols, a + 1, p, index_buf[:len(a)], value_buf[:len(a)])
-        # the values are gathered only after the indices are done
-        values = _gather(table, index, value_buf[:len(a)])
+        rows = alpha[i:i + step, None]
+        raw = np.multiply(rows, cols, out=value_buf[:len(rows)])
+        raw += beta[i:i + step, None]
+        index = reduce_mod(raw, p, out=index_buf[:len(rows)])
+        # every index is already reduced mod p, so "clip" never acts; unlike
+        # the default mode it needs no temporary
+        values = np.take(table, index, out=value_buf[:len(rows)], mode="clip")
         np.matmul(values, weights, out=sums[i:i + step])
     zeros, roots = np.divmod(sums, base)
     # y1 = 0 happens exactly where the right side vanishes
@@ -249,8 +234,8 @@ def _xprime_scan(ctx: FieldContext) -> tuple[int, int, np.ndarray]:
     per_class[t2] = roots - zeros
     fibers = per_class[sq]
     fibers[0] = 0
-    # the x1 = 0 column: the right side is t^2 + 1
-    total = int((roots + q_weight[0] * rc[reduce_mod(t2 + 1, p)]) @ t_weight)
+    # the x1 = 0 column: the right side is beta = t^2 + 1
+    total = int((roots + q_weight[0] * rc[reduce_mod(beta, p)]) @ t_weight)
     boundary = total - int(fibers.sum())
     return total, boundary, fibers
 

@@ -187,7 +187,6 @@ def _kernel_values(p):
 @pytest.mark.parametrize("name, value", [
     ("_TILE_CELLS", 7),            # mostly one row per block
     ("_TILE_CELLS", 37),           # several rows per block, the last short
-    ("_ONE_REDUCTION_MAX_P", 2),   # reduce the first factor before the product
 ])
 def test_kernels_independent_of_tiling_and_reduction(monkeypatch, name, value):
     primes = (5, 7, 19, 23, 41, 43, 101, 103)  # both classes mod 4
